@@ -351,8 +351,8 @@ func BenchmarkComputeDelta(b *testing.B) {
 // §6.1's fig5 study, the ext-ddos plan search, and every load-calibration
 // pass. Each case recomputes convergence and per-block assignment; the
 // sweep revisits configurations, so the converged-table cache turns
-// repeat cases into O(1) hits (set VP_NO_ROUTE_CACHE=1 to measure the
-// uncached path).
+// repeat cases into O(1) hits (bgp.SetRouteCache(false) is the uncached
+// path; `go run ./bench` reports it as bgp.compute_cold_ms).
 func BenchmarkReannounceSweep(b *testing.B) {
 	s := scenario.BRoot(topology.SizeMedium, 1)
 	sweep := [][]int{{1, 0}, {0, 0}, {0, 1}, {0, 2}, {0, 3}, {0, 0}}
@@ -474,9 +474,9 @@ func BenchmarkExtDDoSLoop(b *testing.B) { benchExperiment(b, "ext-ddos-loop") }
 // BenchmarkPlaybookSearch times one full playbook search — enumerate the
 // candidate grammar, predict every candidate's routing via the cache's
 // delta path, score, choose — on the medium b-root deployment. This is
-// the "plan search completes in single-digit seconds" acceptance number;
-// set VP_NO_ROUTE_DELTA=1 to measure the cold-recompute fallback and
-// VP_BENCH_SIZE to change tiers.
+// the "plan search completes in single-digit seconds" acceptance number.
+// Set VP_BENCH_SIZE to change tiers; bgp.SetRouteDelta(false) is the
+// cold-recompute fallback the delta byte-identity test diffs against.
 func BenchmarkPlaybookSearch(b *testing.B) {
 	s := scenario.BRoot(benchConfig().Size, 7)
 	normal := s.RootLog()
@@ -513,9 +513,9 @@ func BenchmarkExtLoss(b *testing.B) { benchExperiment(b, "ext-loss") }
 // BenchmarkPredictEpoch times one stable epoch of the fused monitor
 // (sample rate 0.125 with prediction on): the control-plane diff, the
 // confidence partition, the reduced probe set, and the stitch. The
-// probe_saving metric is the headline ratio for BENCH_*.json — probes
-// per stable sampled epoch divided by probes per stable predicted
-// epoch; the prediction path must be measurably cheaper (>1).
+// probe_saving metric is the headline ratio — probes per stable sampled
+// epoch divided by probes per stable predicted epoch; the prediction
+// path must be measurably cheaper (>1).
 func BenchmarkPredictEpoch(b *testing.B) {
 	size := benchConfig().Size
 	newSession := func(predictOn bool) *monitor.Session {
@@ -580,9 +580,10 @@ var serverBench struct {
 // b-root deployment with its baseline epoch published; addresses cycle
 // through every mapped block. The acceptance bar is ≥1M lookups/sec on
 // one box at the medium tier (expect tens of millions); the reported
-// lookups/s metric lands in BENCH_*.json via scripts/bench.sh, and the
-// concurrent-swap race test (internal/server) proves the same path
-// never blocks on or tears across an epoch swap.
+// lookups/s metric is the in-process number (`go run ./bench` times the
+// same lookups over loopback HTTP as serve-quiet), and the
+// concurrent-swap race test (internal/server) proves the same path never
+// blocks on or tears across an epoch swap.
 func BenchmarkServerLookup(b *testing.B) {
 	serverBench.once.Do(func() {
 		scn := scenario.BRoot(benchConfig().Size, 7)

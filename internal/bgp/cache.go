@@ -17,15 +17,13 @@ package bgp
 // ties). The epoch is part of the key, never ignored: epochs re-roll
 // tie-breaks, so tables must not leak across them.
 //
-// Set VP_NO_ROUTE_CACHE=1 to bypass the cache entirely (the escape hatch
-// the byte-identity tests diff against), or call SetRouteCache from
-// tests.
+// SetRouteCache(false) bypasses the cache entirely (the escape hatch the
+// byte-identity tests diff against).
 
 import (
 	"container/list"
 	"encoding/binary"
 	"math"
-	"os"
 	"sync"
 	"sync/atomic"
 
@@ -71,15 +69,6 @@ func (e *tableEntry) assignment() *Assignment {
 var routeCacheOff atomic.Bool
 var routeDeltaOff atomic.Bool
 
-func init() {
-	if os.Getenv("VP_NO_ROUTE_CACHE") == "1" {
-		routeCacheOff.Store(true)
-	}
-	if os.Getenv("VP_NO_ROUTE_DELTA") == "1" {
-		routeDeltaOff.Store(true)
-	}
-}
-
 // SetRouteCache enables or disables the converged-table cache and
 // returns the previous setting. Disabling does not drop existing
 // entries; use ResetRouteCache for that.
@@ -88,11 +77,11 @@ func SetRouteCache(on bool) bool {
 }
 
 // SetRouteDelta enables or disables incremental recomputation on cache
-// misses (VP_NO_ROUTE_DELTA=1 disables it at startup) and returns the
-// previous setting. Off, every miss is a cold ComputeEpoch — the escape
-// hatch the delta byte-identity tests diff against. Note the delta path
-// also needs the cache itself: with VP_NO_ROUTE_CACHE=1 there are no
-// predecessor tables, so deltas are implicitly off too.
+// misses and returns the previous setting. Off, every miss is a cold
+// ComputeEpoch — the escape hatch the delta byte-identity tests diff
+// against. Note the delta path also needs the cache itself: with the
+// cache off there are no predecessor tables, so deltas are implicitly
+// off too.
 func SetRouteDelta(on bool) bool {
 	return !routeDeltaOff.Swap(!on)
 }

@@ -10,7 +10,7 @@ import (
 // TestExperimentsByteIdenticalWithRouteCache is the acceptance contract
 // for the converged-table cache: every experiment's rendered Result.Text
 // must be byte-for-byte identical with the cache enabled and disabled
-// (the VP_NO_ROUTE_CACHE escape hatch). A divergence means a cached
+// (bgp.SetRouteCache(false), the escape hatch). A divergence means a cached
 // table differs from a freshly converged one — the one bug class the
 // cache must never introduce.
 func TestExperimentsByteIdenticalWithRouteCache(t *testing.T) {

@@ -10,7 +10,7 @@ import (
 // TestExperimentsByteIdenticalWithDelta is the end-to-end acceptance
 // contract for incremental recomputation: every experiment's rendered
 // Result.Text must be byte-for-byte identical whether cache misses run
-// cold ComputeEpoch (VP_NO_ROUTE_DELTA semantics) or the dirty-cone
+// cold ComputeEpoch (bgp.SetRouteDelta(false)) or the dirty-cone
 // ComputeDelta path. The experiment suite is the adversarial workload —
 // prepend sweeps, withdrawals, escalations, and epoch drift all reuse
 // predecessor tables on the same topology, so the delta path is

@@ -8,11 +8,9 @@ import (
 	"testing"
 	"time"
 
-	"verfploeter/internal/ipv4"
 	"verfploeter/internal/monitor"
 	"verfploeter/internal/scenario"
 	"verfploeter/internal/server"
-	"verfploeter/internal/server/loadtest"
 	"verfploeter/internal/topology"
 )
 
@@ -254,33 +252,5 @@ func TestTickerAdvancesEpochs(t *testing.T) {
 	time.Sleep(20 * time.Millisecond)
 	if tn.Epoch() != e {
 		t.Fatal("epochs still advancing after Shutdown")
-	}
-}
-
-// TestLoadtestDrivers smoke-tests both loadtest drivers against a live
-// server: the in-process path and the HTTP path must complete every
-// lookup without errors and agree that mapped addresses map.
-func TestLoadtestDrivers(t *testing.T) {
-	sv, tn := newTestServer(t)
-	ts := httptest.NewServer(sv.Handler())
-	defer ts.Close()
-
-	blocks := tn.Current().Blocks()
-	list := make([]ipv4.Addr, 0, len(blocks))
-	for _, b := range blocks {
-		list = append(list, b.First())
-	}
-
-	direct := loadtest.Direct(tn, list, 4, 500)
-	if direct.Lookups != 2000 || direct.Mapped != 2000 {
-		t.Fatalf("direct = %+v", direct)
-	}
-	if direct.PerSecond() <= 0 {
-		t.Fatal("direct rate not positive")
-	}
-
-	httpRes := loadtest.HTTP(ts.Client(), ts.URL, "t1", list[:10], 4, 25)
-	if httpRes.Errors != 0 || httpRes.Lookups != 100 || httpRes.Mapped != 100 {
-		t.Fatalf("http = %+v", httpRes)
 	}
 }

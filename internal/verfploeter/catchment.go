@@ -15,10 +15,9 @@
 //	                                            └── echo reply, dst=anycast ──▶ captured at b's
 //	                                                                            catchment site
 //
-// The package provides the prober, the per-site reply collectors
-// (including a TCP forwarder to a central analysis host, the "custom
-// program that does packet capture and forwards responses" of §3.1), the
-// data-cleaning pass of §4, and the Catchment table the analyses consume.
+// The package provides the prober, the in-process reply capture that
+// stands in for §3.1's per-site collectors, the data-cleaning pass of §4,
+// and the Catchment table the analyses consume.
 package verfploeter
 
 import (
@@ -185,17 +184,6 @@ func (c *Catchment) MedianRTT() time.Duration {
 	}
 	sort.Slice(v, func(i, j int) bool { return v[i] < v[j] })
 	return v[len(v)/2]
-}
-
-// absorb copies another catchment fragment's entries into c. Callers
-// guarantee the fragments' block sets are disjoint (the parallel folds
-// shard by block), so first-observation-wins ordering cannot be violated
-// by the copy.
-func (c *Catchment) absorb(o *Catchment) {
-	o.rangeRTT(func(b ipv4.Block, s int, rtt time.Duration) bool {
-		c.Reassign(b, s, rtt)
-		return true
-	})
 }
 
 // Clone returns a deep copy of the catchment (the index, immutable, is

@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"verfploeter/internal/ipv4"
-	"verfploeter/internal/packet"
 )
 
 // Reply is one captured echo reply, tagged with the site that captured it
@@ -15,46 +14,4 @@ type Reply struct {
 	Src   ipv4.Addr
 	Ident uint16
 	Seq   uint16
-}
-
-// Collector receives capture records from the per-site taps. The paper
-// runs three collection systems (a forwarding program, LANDER, and raw
-// tcpdump); here the in-memory Central collector and the TCP forwarder
-// (tcp.go) play those roles.
-type Collector interface {
-	// Record ingests one captured packet at a site. Malformed or
-	// non-echo-reply packets are counted and dropped — a capture tap on
-	// the measurement address sees whatever the Internet sends it.
-	Record(site int, at time.Duration, raw []byte)
-}
-
-// Central is the in-process collector: it parses capture records
-// immediately and accumulates them for cleaning.
-type Central struct {
-	Replies   []Reply
-	Malformed int
-	NonReply  int
-}
-
-// Record implements Collector.
-func (c *Central) Record(site int, at time.Duration, raw []byte) {
-	p, err := packet.UnmarshalEcho(raw)
-	if err != nil {
-		c.Malformed++
-		return
-	}
-	if p.Echo.Type != packet.ICMPEchoReply {
-		c.NonReply++
-		return
-	}
-	c.Replies = append(c.Replies, Reply{
-		Site: site, At: at, Src: p.IP.Src,
-		Ident: p.Echo.Ident, Seq: p.Echo.Seq,
-	})
-}
-
-// Tap returns a dataplane tap function for one site, stamping capture
-// time from the virtual clock via now().
-func Tap(c Collector, site int, now func() time.Duration) func([]byte) {
-	return func(pkt []byte) { c.Record(site, now(), pkt) }
 }

@@ -6,7 +6,6 @@ import (
 
 	"verfploeter/internal/dataplane"
 	"verfploeter/internal/ipv4"
-	"verfploeter/internal/packet"
 )
 
 // TestRunEmptySubset: a non-nil empty subset is a legitimate degenerate
@@ -85,11 +84,6 @@ func TestRunSingleBlockSubset(t *testing.T) {
 	}
 }
 
-// replyRaw builds one on-the-wire echo reply from src.
-func replyRaw(src ipv4.Addr, ident, seq uint16) []byte {
-	return packet.MarshalEcho(src, ipv4.MustParseAddr("198.18.0.1"), packet.ICMPEchoReply, ident, seq, nil)
-}
-
 // TestStreamShardsDuplicateBurst: the paper observes "systems replying
 // multiple times to a single echo request, in some cases up to thousands
 // of times" — a burst of N identical replies must fold to one kept
@@ -98,81 +92,105 @@ func TestStreamShardsDuplicateBurst(t *testing.T) {
 	w := newWorld(t, 11, dataplane.Impairments{})
 	src := w.hl.Entries[0].Addr
 	const n = 50
+	chunks := []probeChunk{{replies: duplicateBurst(w, n)}}
 
-	for _, shards := range []int{1, 4} {
-		s := NewStreamShards(shards, w.hl, 2, 7, time.Minute, nil)
-		for i := 0; i < n; i++ {
-			s.Record(1, time.Duration(i)*time.Millisecond, replyRaw(src, 7, 0))
-		}
-		catch, stats := s.Finish()
+	for _, workers := range []int{1, 4} {
+		catch, stats := foldChunks(chunks, w.hl, 2, 3, time.Minute, workers)
 		if stats.Kept != 1 || stats.Duplicates != n-1 {
-			t.Errorf("shards=%d: kept=%d dups=%d, want 1/%d", shards, stats.Kept, stats.Duplicates, n-1)
+			t.Errorf("workers=%d: kept=%d dups=%d, want 1/%d", workers, stats.Kept, stats.Duplicates, n-1)
 		}
 		if stats.Total != n {
-			t.Errorf("shards=%d: total=%d, want %d", shards, stats.Total, n)
+			t.Errorf("workers=%d: total=%d, want %d", workers, stats.Total, n)
 		}
 		if catch.Len() != 1 {
-			t.Errorf("shards=%d: catchment has %d blocks, want 1", shards, catch.Len())
+			t.Errorf("workers=%d: catchment has %d blocks, want 1", workers, catch.Len())
 		}
 		if site, ok := catch.SiteOf(src.Block()); !ok || site != 1 {
-			t.Errorf("shards=%d: block mapped to %d (ok=%v), want site 1", shards, site, ok)
+			t.Errorf("workers=%d: block mapped to %d (ok=%v), want site 1", workers, site, ok)
 		}
 	}
 }
 
-// TestStreamShardsDropRules pins the remaining per-packet cleaning paths
-// (wrong round, late, unsolicited, malformed, non-reply) through the
-// sharded collector.
+// TestStreamShardsDropRules pins the per-reply drop paths (wrong round,
+// late, unsolicited) through the sharded fold.
 func TestStreamShardsDropRules(t *testing.T) {
 	w := newWorld(t, 11, dataplane.Impairments{})
 	src := w.hl.Entries[0].Addr
-	s := NewStreamShards(2, w.hl, 2, 7, time.Minute, nil)
+	outside := ipv4.MustParseAddr("203.0.113.77") // not on the hitlist
+	chunks := []probeChunk{{replies: []Reply{
+		{Site: 0, At: time.Second, Src: src, Ident: 9},     // wrong round
+		{Site: 0, At: 2 * time.Minute, Src: src, Ident: 7}, // late
+		{Site: 0, At: time.Second, Src: outside, Ident: 7}, // unsolicited
+		{Site: 0, At: 2 * time.Second, Src: src, Ident: 7}, // the one good reply
+	}}}
 
-	s.Record(0, time.Second, replyRaw(src, 9, 0))     // wrong round
-	s.Record(0, 2*time.Minute, replyRaw(src, 7, 0))   // late
-	outside := ipv4.MustParseAddr("203.0.113.77")     // not on the hitlist
-	s.Record(0, time.Second, replyRaw(outside, 7, 0)) // unsolicited
-	s.Record(0, time.Second, []byte{0x45, 0x00})      // malformed
-	req := packet.MarshalEcho(src, ipv4.MustParseAddr("198.18.0.1"), packet.ICMPEchoRequest, 7, 0, nil)
-	s.Record(0, time.Second, req)                 // not a reply
-	s.Record(0, time.Second, replyRaw(src, 7, 0)) // the one good reply
-
-	catch, stats := s.Finish()
+	catch, stats := foldChunks(chunks, w.hl, 2, 7, time.Minute, 2)
 	if stats.WrongRound != 1 || stats.Late != 1 || stats.Unsolicited != 1 || stats.Kept != 1 {
 		t.Errorf("stats = %+v, want wrong-round/late/unsolicited/kept all 1", stats)
 	}
-	if s.Malformed() != 1 || s.NonReply() != 1 {
-		t.Errorf("malformed=%d nonreply=%d, want 1/1", s.Malformed(), s.NonReply())
+	if stats.Total != len(chunks[0].replies) || stats.Duplicates != 0 {
+		t.Errorf("total=%d dups=%d, want %d/0", stats.Total, stats.Duplicates, len(chunks[0].replies))
 	}
 	if catch.Len() != 1 {
 		t.Errorf("catchment has %d blocks, want 1", catch.Len())
 	}
 }
 
-// TestCentralKeepsRawBurst: the central collector stores the raw stream
-// for later cleaning — a duplicate burst arrives intact, while garbage
-// and non-replies are counted and dropped at the tap.
-func TestCentralKeepsRawBurst(t *testing.T) {
+// TestStreamBuilderCleaning runs every cleaning rule on one source
+// through the fold with send times, so the kept echo also carries its
+// RTT: the first in-round, on-time reply wins its block for its site.
+func TestStreamBuilderCleaning(t *testing.T) {
 	w := newWorld(t, 11, dataplane.Impairments{})
 	src := w.hl.Entries[0].Addr
-	var c Central
-	const n = 20
-	for i := 0; i < n; i++ {
-		c.Record(0, time.Duration(i)*time.Millisecond, replyRaw(src, 3, uint16(i)))
+	// Identity permutation positions; only target 0 was sent, at 5ms.
+	pos32 := make([]uint32, w.hl.Len())
+	sendNS := make([]int64, w.hl.Len())
+	for i := range pos32 {
+		pos32[i], sendNS[i] = uint32(i), -1
 	}
-	c.Record(0, time.Second, []byte{0xff})
-	req := packet.MarshalEcho(src, ipv4.MustParseAddr("198.18.0.1"), packet.ICMPEchoRequest, 3, 0, nil)
-	c.Record(0, time.Second, req)
+	sendNS[0] = int64(5 * time.Millisecond)
+	chunks := []probeChunk{{replies: []Reply{
+		{Site: 0, At: 10 * time.Millisecond, Src: src, Ident: 9},                           // kept, RTT 5ms
+		{Site: 1, At: 11 * time.Millisecond, Src: src, Ident: 9},                           // dup
+		{Site: 0, At: 12 * time.Millisecond, Src: src, Ident: 8},                           // wrong round
+		{Site: 0, At: 13 * time.Millisecond, Src: ipv4.MustParseAddr("9.9.9.9"), Ident: 9}, // unsolicited
+		{Site: 0, At: 2 * time.Minute, Src: src, Ident: 9},                                 // late
+	}}}
 
-	if len(c.Replies) != n {
-		t.Errorf("central kept %d replies, want %d", len(c.Replies), n)
+	catch, stats := foldChunksSubset(chunks, w.hl, nil, pos32, sendNS, 0, 2, 9, time.Minute, 1)
+	if stats.Kept != 1 || stats.Duplicates != 1 || stats.WrongRound != 1 ||
+		stats.Late != 1 || stats.Unsolicited != 1 {
+		t.Fatalf("stats = %+v", stats)
 	}
-	if c.Malformed != 1 || c.NonReply != 1 {
-		t.Errorf("malformed=%d nonreply=%d, want 1/1", c.Malformed, c.NonReply)
+	if site, ok := catch.SiteOf(src.Block()); !ok || site != 0 {
+		t.Fatalf("block not mapped to first site")
 	}
-	for i, r := range c.Replies {
-		if r.Src != src || r.Ident != 3 || r.Seq != uint16(i) {
-			t.Fatalf("reply %d = %+v, want src=%v ident=3 seq=%d", i, r, src, i)
-		}
+	if rtt, ok := catch.RTTOf(src.Block()); !ok || rtt != 5*time.Millisecond {
+		t.Fatalf("RTT = %v, %v", rtt, ok)
+	}
+}
+
+// TestCentralKeepsRawBurst: replies reach the fold raw — every
+// duplicate copy the data plane emits is carried through capture and
+// counted by the cleaner, not collapsed at the sink. With every block
+// duplicating, each kept reply has at least one suppressed twin.
+func TestCentralKeepsRawBurst(t *testing.T) {
+	w := newWorld(t, 11, dataplane.Impairments{DupFrac: 1, DupMax: 20, BaseRTT: 5 * time.Millisecond})
+	catch, stats, err := Run(w.config(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := stats.Clean
+	if c.Kept == 0 {
+		t.Fatal("degenerate round: nothing kept")
+	}
+	if c.Duplicates < c.Kept {
+		t.Errorf("duplicates=%d < kept=%d: duplicate copies lost before cleaning", c.Duplicates, c.Kept)
+	}
+	if c.Total != c.Kept+c.Duplicates || c.WrongRound+c.Late+c.Unsolicited != 0 {
+		t.Errorf("clean stats %+v, want total = kept + duplicates", c)
+	}
+	if catch.Len() != c.Kept {
+		t.Errorf("catchment has %d blocks from %d kept replies", catch.Len(), c.Kept)
 	}
 }

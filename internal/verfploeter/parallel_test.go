@@ -2,13 +2,11 @@ package verfploeter
 
 import (
 	"runtime"
-	"sync"
 	"testing"
 	"time"
 
 	"verfploeter/internal/dataplane"
 	"verfploeter/internal/ipv4"
-	"verfploeter/internal/packet"
 )
 
 func catchmentsEqual(t *testing.T, label string, a, b *Catchment) {
@@ -59,138 +57,106 @@ func TestRunDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestBuildCatchmentMatchesClean cross-checks the sharded fold against
-// the sequential Clean pass on the same reply set.
-func TestBuildCatchmentMatchesClean(t *testing.T) {
-	w := newWorld(t, 5, dataplane.DefaultImpairments())
-	cfg := w.config(2)
-	central := &Central{}
-	cfg.Collector = central
-	_, _, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	probed := make(map[ipv4.Addr]bool)
-	for _, e := range w.hl.Entries {
-		probed[e.Addr] = true
-	}
-	kept, cleanStats := Clean(central.Replies, probed, 2, w.clock.Now())
-	catch, foldStats := BuildCatchment(central.Replies, w.hl, 2, 2, w.clock.Now())
-	if foldStats != cleanStats {
-		t.Fatalf("fold stats %+v, clean stats %+v", foldStats, cleanStats)
-	}
-	if catch.Len() == 0 || len(kept) < catch.Len() {
-		t.Fatalf("catchment %d blocks from %d kept replies", catch.Len(), len(kept))
-	}
-}
-
-// streamRecords builds a deterministic capture stream exercising every
-// cleaning rule: good replies, duplicates, a wrong round, a late packet,
+// streamRecords builds a deterministic reply stream exercising every
+// cleaning rule: good replies, duplicates, a wrong round, a late reply,
 // and an unsolicited source.
-func streamRecords(w *world) []struct {
-	site int
-	at   time.Duration
-	raw  []byte
-} {
-	anycast := ipv4.MustParseAddr("198.18.0.1")
-	var recs []struct {
-		site int
-		at   time.Duration
-		raw  []byte
-	}
-	add := func(site int, at time.Duration, raw []byte) {
-		recs = append(recs, struct {
-			site int
-			at   time.Duration
-			raw  []byte
-		}{site, at, raw})
-	}
+func streamRecords(w *world) []Reply {
+	var recs []Reply
 	for i, e := range w.hl.Entries {
-		raw := packet.MarshalEcho(e.Addr, anycast, packet.ICMPEchoReply, 3, uint16(i), nil)
-		at := time.Duration(i) * time.Millisecond
-		add(i%2, at, raw)
-		if i%5 == 0 { // duplicate, later — must be suppressed
-			add((i+1)%2, at+time.Second, raw)
+		r := Reply{Site: i % 2, At: time.Duration(i) * time.Millisecond, Src: e.Addr, Ident: 3, Seq: uint16(i)}
+		recs = append(recs, r)
+		if i%5 == 0 { // duplicate, later, at the other site — must be suppressed
+			r.Site, r.At = (i+1)%2, r.At+time.Second
+			recs = append(recs, r)
 		}
 	}
-	wrong := packet.MarshalEcho(w.hl.Entries[0].Addr, anycast, packet.ICMPEchoReply, 99, 0, nil)
-	add(0, time.Second, wrong)
-	unsolicited := packet.MarshalEcho(ipv4.MustParseAddr("203.0.113.7"), anycast, packet.ICMPEchoReply, 3, 0, nil)
-	add(1, time.Second, unsolicited)
-	late := packet.MarshalEcho(w.hl.Entries[1].Addr, anycast, packet.ICMPEchoReply, 3, 1, nil)
-	add(0, 20*time.Minute, late)
+	return append(recs,
+		Reply{Site: 0, At: time.Second, Src: w.hl.Entries[0].Addr, Ident: 99},             // wrong round
+		Reply{Site: 1, At: time.Second, Src: ipv4.MustParseAddr("203.0.113.7"), Ident: 3}, // unsolicited
+		Reply{Site: 0, At: 20 * time.Minute, Src: w.hl.Entries[1].Addr, Ident: 3, Seq: 1}, // late
+	)
+}
+
+// duplicateBurst is n copies of one hitlist address's reply: the paper
+// observes "systems replying multiple times to a single echo request, in
+// some cases up to thousands of times".
+func duplicateBurst(w *world, n int) []Reply {
+	recs := make([]Reply, n)
+	for i := range recs {
+		recs[i] = Reply{Site: 1, At: time.Duration(i) * time.Millisecond, Src: w.hl.Entries[0].Addr, Ident: 3}
+	}
 	return recs
 }
 
-// TestStreamShardsMatchesStreamBuilder feeds the same stream to the
-// sequential builder and the sharded fan-in (several shard counts) and
-// requires identical catchments and statistics.
+// TestStreamShardsMatchesStreamBuilder folds the same reply stream,
+// split across chunks, at several shard counts and requires identical
+// catchments (sites and RTTs) and statistics.
 func TestStreamShardsMatchesStreamBuilder(t *testing.T) {
 	w := newWorld(t, 7, dataplane.Impairments{BaseRTT: 5 * time.Millisecond})
 	recs := streamRecords(w)
+	half := len(recs) / 2
+	chunks := []probeChunk{{replies: recs[:half]}, {replies: recs[half:]}}
 
-	ref := NewStreamBuilder(w.hl, 2, 3, 15*time.Minute, nil)
-	for _, r := range recs {
-		ref.Record(r.site, r.at, r.raw)
-	}
-	refCatch, refStats := ref.Finish()
+	refCatch, refStats := foldChunks(chunks, w.hl, 2, 3, 15*time.Minute, 1)
 	if refStats.Kept == 0 || refStats.Duplicates == 0 || refStats.Late == 0 ||
 		refStats.Unsolicited == 0 || refStats.WrongRound == 0 {
 		t.Fatalf("stream not exercising all rules: %+v", refStats)
 	}
-
-	for _, nShards := range []int{1, 2, 7} {
-		ss := NewStreamShards(nShards, w.hl, 2, 3, 15*time.Minute, nil)
-		for _, r := range recs {
-			ss.Record(r.site, r.at, r.raw)
-		}
-		catch, stats := ss.Finish()
+	for _, workers := range []int{2, 7} {
+		catch, stats := foldChunks(chunks, w.hl, 2, 3, 15*time.Minute, workers)
 		if stats != refStats {
-			t.Fatalf("nShards=%d: stats %+v, want %+v", nShards, stats, refStats)
+			t.Fatalf("workers=%d: stats %+v, want %+v", workers, stats, refStats)
 		}
 		catchmentsEqual(t, "shards", refCatch, catch)
 	}
 }
 
-// TestStreamShardsConcurrentProducers drives the fan-in from many
-// goroutines (one per block residue class, so per-block order is
-// preserved — the documented contract) and checks the result against the
-// sequential builder. Run under -race this also proves the locking.
-func TestStreamShardsConcurrentProducers(t *testing.T) {
+// TestBuildCatchmentMatchesClean cross-checks the sharded fold against
+// the sequential Clean pass on the same reply stream, split across
+// chunks, at several worker counts: the cleaning statistics must be
+// equal and every kept reply must map its block to its site.
+func TestBuildCatchmentMatchesClean(t *testing.T) {
 	w := newWorld(t, 7, dataplane.Impairments{BaseRTT: 5 * time.Millisecond})
-	recs := streamRecords(w)
-
-	ref := NewStreamBuilder(w.hl, 2, 3, 15*time.Minute, nil)
-	for _, r := range recs {
-		ref.Record(r.site, r.at, r.raw)
+	probed := make(map[ipv4.Addr]bool)
+	for _, e := range w.hl.Entries {
+		probed[e.Addr] = true
 	}
-	refCatch, refStats := ref.Finish()
-
-	ss := NewStreamShards(4, w.hl, 2, 3, 15*time.Minute, nil)
-	const producers = 8
-	var wg sync.WaitGroup
-	for g := 0; g < producers; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i, r := range recs {
-				if i%producers == g {
-					ss.Record(r.site, r.at, r.raw)
+	const roundID, cutoff = 3, 15 * time.Minute
+	for _, tc := range []struct {
+		name    string
+		replies []Reply
+	}{
+		{"rules", streamRecords(w)},
+		{"burst", duplicateBurst(w, 50)},
+	} {
+		kept, want := Clean(tc.replies, probed, roundID, cutoff)
+		switch {
+		case tc.name == "rules" && (want.Kept == 0 || want.Duplicates == 0 || want.Late == 0 ||
+			want.Unsolicited == 0 || want.WrongRound == 0):
+			t.Fatalf("rules: stream not exercising every rule: %+v", want)
+		case tc.name == "burst" && (want.Kept != 1 || want.Duplicates != 49):
+			t.Fatalf("burst: kept=%d dups=%d, want 1/49", want.Kept, want.Duplicates)
+		}
+		// Three chunks, walked in order, carry the stream as one sweep's
+		// chunks would.
+		third := (len(tc.replies) + 2) / 3
+		var chunks []probeChunk
+		for lo := 0; lo < len(tc.replies); lo += third {
+			chunks = append(chunks, probeChunk{replies: tc.replies[lo:min(lo+third, len(tc.replies))]})
+		}
+		for _, workers := range []int{1, 4} {
+			catch, got := foldChunks(chunks, w.hl, 2, roundID, cutoff, workers)
+			if got != want {
+				t.Fatalf("%s workers=%d: fold stats %+v, clean stats %+v", tc.name, workers, got, want)
+			}
+			if catch.Len() != len(kept) {
+				t.Fatalf("%s workers=%d: catchment %d blocks from %d kept replies", tc.name, workers, catch.Len(), len(kept))
+			}
+			for _, r := range kept {
+				if site, ok := catch.SiteOf(r.Src.Block()); !ok || site != r.Site {
+					t.Fatalf("%s workers=%d: block %v at site %d (ok=%v), want %d", tc.name, workers, r.Src.Block(), site, ok, r.Site)
 				}
 			}
-		}(g)
-	}
-	wg.Wait()
-	catch, stats := ss.Finish()
-	// Partitioning by record index keeps each source's records (original
-	// + duplicate share the index parity only by luck) — so compare the
-	// order-insensitive pieces: totals and the catchment minus flips.
-	if stats.Total != refStats.Total || stats.WrongRound != refStats.WrongRound ||
-		stats.Late != refStats.Late || stats.Unsolicited != refStats.Unsolicited ||
-		stats.Kept+stats.Duplicates != refStats.Kept+refStats.Duplicates {
-		t.Fatalf("concurrent stats %+v, want %+v", stats, refStats)
-	}
-	if catch.Len() != refCatch.Len() {
-		t.Fatalf("concurrent catchment %d blocks, want %d", catch.Len(), refCatch.Len())
+		}
 	}
 }

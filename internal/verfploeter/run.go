@@ -10,7 +10,6 @@ import (
 	"verfploeter/internal/hitlist"
 	"verfploeter/internal/ipv4"
 	"verfploeter/internal/obsv"
-	"verfploeter/internal/packet"
 	"verfploeter/internal/parallel"
 	"verfploeter/internal/rng"
 	"verfploeter/internal/vclock"
@@ -77,8 +76,6 @@ type Config struct {
 	// draws and the reply fold's first-reply-wins dedup guarantees a
 	// block is never counted twice. Zero (the default) disables retries
 	// and leaves the probe stream byte-identical to earlier releases.
-	// Retries require the in-process collector (Collector == nil): an
-	// external sink gives the prober no view of who answered.
 	Retries int
 
 	// RetryBackoff is the wait before the first retry pass; it doubles
@@ -96,14 +93,6 @@ type Config struct {
 	// default) costs nothing and the measured output is byte-identical
 	// either way. See internal/obsv.
 	Obs *obsv.Registry
-
-	// Collector overrides the reply sink. When nil, Run uses an
-	// in-process Central and returns a complete catchment. When set
-	// (e.g. a ForwardClient), Run only probes — collection, cleaning,
-	// and catchment building happen wherever the frames land. External
-	// sinks receive frames in deterministic order, so this mode sweeps
-	// sequentially on the caller's clock and Net.
-	Collector Collector
 }
 
 // Stats summarizes one round.
@@ -191,9 +180,6 @@ func (cfg *Config) fill() error {
 		return fmt.Errorf("%w: negative Retries", ErrConfig)
 	}
 	if cfg.Retries > 0 {
-		if cfg.Collector != nil {
-			return fmt.Errorf("%w: Retries need the in-process collector (external sinks hide who answered)", ErrConfig)
-		}
 		if cfg.RetryBackoff <= 0 {
 			cfg.RetryBackoff = DefaultRetryBackoff
 		}
@@ -211,8 +197,8 @@ func (cfg *Config) fill() error {
 // It returns the catchment of every responsive block.
 //
 // The round executes on the parallel engine: the sweep runs as
-// fixed-size chunks of the probe permutation — each chunk marshals and
-// sends its probes on its own dataplane fork and virtual clock, offset
+// fixed-size chunks of the probe permutation — each chunk sends its
+// probes on its own dataplane fork and virtual clock, offset
 // to the time the rate limiter would reach that chunk — and replies are
 // cleaned and folded by /24-block shards. Every stage merges
 // deterministically, so the catchment and stats are identical for any
@@ -223,13 +209,6 @@ func Run(cfg Config) (*Catchment, Stats, error) {
 	}
 	n := cfg.Hitlist.Len()
 	perm := rng.NewPermutation(rng.New(cfg.Seed).Derive("probe-order"), n)
-
-	if cfg.Collector != nil {
-		// Frames go elsewhere; the caller owns cleaning and mapping.
-		stats, err := probeExternal(&cfg, perm)
-		publishRound(cfg.Obs, stats, nil)
-		return nil, stats, err
-	}
 
 	// Columnar sweep state, indexed by the hitlist's dense block id
 	// (entry order == ascending block order == columnar id). pos32 maps
@@ -401,7 +380,7 @@ func retryMissing(net *dataplane.Net, clock *vclock.Clock, cfg *Config,
 			i := missing[k]
 			id := perm.Index(i)
 			return id, cfg.Hitlist.Entries[id].Addr, uint16(i) + seqOff
-		}, sendNS, false, &ch.stats)
+		}, sendNS, &ch.stats)
 		ch.stats.Retried += len(missing)
 		if err != nil {
 			return err
@@ -469,31 +448,8 @@ func (cfg *Config) span(perm *rng.Permutation, lo, hi int) chunkSpan {
 	return sp
 }
 
-// probeExternal is the sequential sweep for external collectors: taps on
-// the caller's Net forward every frame to the sink in one deterministic
-// stream, exactly as a per-site capture box would.
-func probeExternal(cfg *Config, perm *rng.Permutation) (Stats, error) {
-	for s := 0; s < cfg.NSite; s++ {
-		cfg.Net.SetTap(s, Tap(cfg.Collector, s, cfg.Clock.Now))
-	}
-	start := cfg.Clock.Now()
-	sp := cfg.span(perm, 0, cfg.Hitlist.Len())
-	// Targets is known here; Responded stays 0 — the external sink owns
-	// the replies, so response accounting happens wherever frames land.
-	stats := Stats{Targets: sp.count()}
-	err := pacedSend(cfg.Net, cfg.Clock, cfg, sp.count(), func(k int) (int, ipv4.Addr, uint16) {
-		i := sp.pos(k)
-		id := perm.Index(i)
-		return id, cfg.Hitlist.Entries[id].Addr, uint16(i)
-	}, nil, true, &stats)
-	cfg.Clock.RunUntilIdle()
-	stats.Elapsed = cfg.Clock.Now() - start
-	return stats, err
-}
-
 // sweep sends probes for the chunk's permutation span onto the virtual
-// clock, paced by a token bucket, interleaving sends with reply
-// delivery as on a real network. Probes travel as parsed fields
+// clock, paced by a token bucket. Probes travel as parsed fields
 // (SendEcho) — nothing downstream reads wire bytes, so the per-probe
 // marshal/parse pair would be pure allocation.
 func sweep(net *dataplane.Net, clock *vclock.Clock, cfg *Config,
@@ -504,20 +460,17 @@ func sweep(net *dataplane.Net, clock *vclock.Clock, cfg *Config,
 		i := sp.pos(k)
 		id := perm.Index(i)
 		return id, cfg.Hitlist.Entries[id].Addr, uint16(i)
-	}, sendNS, false, stats)
+	}, sendNS, stats)
 }
 
-// pacedSend is the shared send loop under the initial sweep, the retry
-// passes, and the external-collector sweep: it emits count probes —
-// dense hitlist id, target address, and ICMP sequence supplied by tgt —
-// paced by a token bucket on the virtual clock, records each send time
-// in the sendNS column (when given), and drains the schedule before
-// returning the first scheduling error. With marshal set, probes go out
-// as real frames via SendProbe — the external-collector path, whose
-// sink consumes wire bytes.
+// pacedSend is the send loop under the initial sweep and the retry
+// passes: it emits count probes — dense hitlist id, target address, and
+// ICMP sequence supplied by tgt — paced by a token bucket on the virtual
+// clock, records each send time in the sendNS column, and returns the
+// first send error.
 func pacedSend(net *dataplane.Net, clock *vclock.Clock, cfg *Config,
 	count int, tgt func(k int) (int, ipv4.Addr, uint16),
-	sendNS []int64, marshal bool, stats *Stats) error {
+	sendNS []int64, stats *Stats) error {
 
 	rl := vclock.NewRateLimiter(clock, cfg.Rate, cfg.Burst)
 	var firstErr error
@@ -525,18 +478,8 @@ func pacedSend(net *dataplane.Net, clock *vclock.Clock, cfg *Config,
 	send := func() {
 		for k < count && rl.Allow() {
 			id, addr, seq := tgt(k)
-			if sendNS != nil {
-				sendNS[id] = int64(clock.Now())
-			}
-			var err error
-			if marshal {
-				raw := packet.MarshalEcho(cfg.SourceAddr, addr,
-					packet.ICMPEchoRequest, cfg.RoundID, seq, nil)
-				err = net.SendProbe(cfg.OriginSite, raw)
-			} else {
-				err = net.SendEcho(cfg.OriginSite, cfg.SourceAddr, addr, cfg.RoundID, seq)
-			}
-			if err != nil {
+			sendNS[id] = int64(clock.Now())
+			if err := net.SendEcho(cfg.OriginSite, cfg.SourceAddr, addr, cfg.RoundID, seq); err != nil {
 				stats.SendErrs++
 				if firstErr == nil {
 					firstErr = err
@@ -546,28 +489,12 @@ func pacedSend(net *dataplane.Net, clock *vclock.Clock, cfg *Config,
 			k++
 		}
 	}
-	if marshal {
-		// The external-collector path delivers replies as clock events on
-		// this same schedule, so pacing must go through the event queue:
-		// replies fire in timestamp order between send steps.
-		var step func()
-		step = func() {
-			send()
-			if k < count {
-				clock.After(rl.Delay(), step)
-			}
-		}
-		step()
-		for k < count {
-			clock.Advance(rl.Delay() + time.Millisecond)
-		}
-		return firstErr
-	}
-	// Sink path: replies are handed to the sink at send time, so the
-	// chunk's forked clock carries no events at all. The event-queue
-	// schedule above — a pending step event drained by coarse Advances —
-	// collapses to plain arithmetic over the same instants: same send
-	// times, same final clock time, zero per-probe event allocations.
+	// Replies go to the chunk's sink at send time, so the forked clock
+	// carries no events and pacing is plain arithmetic. The clock moves
+	// in windows of one token delay plus a millisecond; inside a window,
+	// each step jumps to the instant the next token is due and sends the
+	// burst the bucket allows. The loop returns at the end of the window
+	// in which the last probe went out.
 	send()
 	if k < count {
 		stepAt := clock.Now() + rl.Delay()
@@ -630,13 +557,6 @@ func Clean(replies []Reply, probed map[ipv4.Addr]bool, roundID uint16, cutoff ti
 	}
 	stats.Kept = len(out)
 	return out, stats
-}
-
-// BuildCatchment cleans raw replies against the hitlist and folds the
-// survivors into a catchment table.
-func BuildCatchment(replies []Reply, hl *hitlist.Hitlist, nSite int, roundID uint16, cutoff time.Duration) (*Catchment, CleanStats) {
-	one := []probeChunk{{replies: replies}}
-	return foldChunks(one, hl, nSite, roundID, cutoff, 0)
 }
 
 // foldChunks cleans and folds the chunks' replies into one catchment by

@@ -194,25 +194,34 @@ func TestRunConfigValidation(t *testing.T) {
 	}
 }
 
-func TestRunWithExternalCollector(t *testing.T) {
-	// The external-collector mode probes but leaves collection to the
-	// caller; catchment must be nil and the sink must receive frames.
-	w := newWorld(t, 19, dataplane.Impairments{})
-	central := &Central{}
-	cfg := w.config(5)
-	cfg.Collector = central
-	catch, _, err := Run(cfg)
+// Origin independence: the catchment is a property of BGP, not of where
+// the prober runs (§3.1: queries are sent from the anycast prefix; the
+// reply path alone decides the site). Probing from site 1 must map every
+// block identically to probing from site 0.
+func TestOriginSiteDoesNotChangeCatchment(t *testing.T) {
+	a := newWorld(t, 43, dataplane.DefaultImpairments())
+	cfgA := a.config(3)
+	cfgA.OriginSite = 0
+	fromLAX, _, err := Run(cfgA)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if catch != nil {
-		t.Error("external collector mode should not build a catchment")
+
+	b := newWorld(t, 43, dataplane.DefaultImpairments())
+	cfgB := b.config(3)
+	cfgB.OriginSite = 1
+	fromMIA, _, err := Run(cfgB)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(central.Replies) == 0 {
-		t.Fatal("external collector got no replies")
+
+	if fromLAX.Len() != fromMIA.Len() {
+		t.Fatalf("origin changed coverage: %d vs %d", fromLAX.Len(), fromMIA.Len())
 	}
-	c2, _ := BuildCatchment(central.Replies, w.hl, 2, 5, w.clock.Now())
-	if c2.Len() == 0 {
-		t.Fatal("catchment from external collector empty")
-	}
+	fromLAX.Range(func(blk ipv4.Block, site int) bool {
+		if s2, ok := fromMIA.SiteOf(blk); !ok || s2 != site {
+			t.Fatalf("origin changed catchment at %v: %d vs %d", blk, site, s2)
+		}
+		return true
+	})
 }
