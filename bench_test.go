@@ -24,6 +24,7 @@ import (
 	"testing"
 
 	"verfploeter/internal/bgp"
+	"verfploeter/internal/colstore"
 	"verfploeter/internal/dataset"
 	"verfploeter/internal/experiments"
 	"verfploeter/internal/ipv4"
@@ -408,8 +409,13 @@ func BenchmarkProbePermutation(b *testing.B) {
 
 // BenchmarkCatchmentDiff times the Figure 9 transition classification.
 func BenchmarkCatchmentDiff(b *testing.B) {
-	prev := vp.NewCatchment(9)
-	cur := vp.NewCatchment(9)
+	blocks := make([]ipv4.Block, 100000)
+	for i := range blocks {
+		blocks[i] = ipv4.Block(i)
+	}
+	ix := colstore.NewIndex(blocks)
+	prev := vp.NewCatchment(9, ix)
+	cur := vp.NewCatchment(9, ix)
 	src := rng.New(5)
 	for i := 0; i < 100000; i++ {
 		blk := ipv4.Block(i)

@@ -228,7 +228,7 @@ func TestStabilityEdgeCases(t *testing.T) {
 	if Stability(nil) != nil {
 		t.Error("nil rounds should give nil")
 	}
-	one := []*verfploeter.Catchment{verfploeter.NewCatchment(2)}
+	one := []*verfploeter.Catchment{verfploeter.NewCatchment(2, nil)}
 	if Stability(one) != nil {
 		t.Error("single round should give nil")
 	}
@@ -327,7 +327,11 @@ func TestCountryBreakdown(t *testing.T) {
 
 func TestConsensus(t *testing.T) {
 	mk := func(pairs ...any) *verfploeter.Catchment {
-		c := verfploeter.NewCatchment(3)
+		var blocks []ipv4.Block
+		for i := 0; i < len(pairs); i += 2 {
+			blocks = append(blocks, pairs[i].(ipv4.Block))
+		}
+		c := catchmentOver(3, blocks...)
 		for i := 0; i < len(pairs); i += 2 {
 			c.Set(pairs[i].(ipv4.Block), pairs[i+1].(int))
 		}

@@ -1,17 +1,25 @@
 package analysis
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
+	"verfploeter/internal/colstore"
 	"verfploeter/internal/dataset"
 	"verfploeter/internal/ipv4"
 	"verfploeter/internal/verfploeter"
 )
 
+// catchmentOver returns an empty catchment whose index holds the given
+// blocks (any order, duplicates allowed).
+func catchmentOver(nSite int, blocks ...ipv4.Block) *verfploeter.Catchment {
+	bs := slices.Clone(blocks)
+	slices.Sort(bs)
+	return verfploeter.NewCatchment(nSite, colstore.NewIndex(slices.Compact(bs)))
+}
+
 func TestFlipMatrix(t *testing.T) {
-	prev := verfploeter.NewCatchment(2)
-	cur := verfploeter.NewCatchment(2)
 	// 1.2.3.0/24 stays at site 0; 1.2.4.0/24 flips 0->1; 1.2.5.0/24 goes
 	// non-responsive from site 1; 1.2.6.0/24 appears at site 1.
 	b := func(s string) ipv4.Block {
@@ -21,6 +29,9 @@ func TestFlipMatrix(t *testing.T) {
 		}
 		return blk
 	}
+	all := []ipv4.Block{b("1.2.3.0/24"), b("1.2.4.0/24"), b("1.2.5.0/24"), b("1.2.6.0/24")}
+	prev := catchmentOver(2, all...)
+	cur := catchmentOver(2, all...)
 	prev.Set(b("1.2.3.0/24"), 0)
 	cur.Set(b("1.2.3.0/24"), 0)
 	prev.Set(b("1.2.4.0/24"), 0)
@@ -65,7 +76,7 @@ func TestFlipMatrix(t *testing.T) {
 }
 
 func TestFlipMatrixSiteMismatch(t *testing.T) {
-	if _, err := NewFlipMatrix(verfploeter.NewCatchment(2), verfploeter.NewCatchment(3)); err == nil {
+	if _, err := NewFlipMatrix(verfploeter.NewCatchment(2, nil), verfploeter.NewCatchment(3, nil)); err == nil {
 		t.Fatal("no error for mismatched site counts")
 	}
 }
@@ -78,7 +89,7 @@ func TestSeriesFlipMatrices(t *testing.T) {
 		}
 		return blk
 	}
-	base := verfploeter.NewCatchment(2)
+	base := catchmentOver(2, b("1.2.3.0/24"), b("1.2.4.0/24"))
 	base.Set(b("1.2.3.0/24"), 0)
 	base.Set(b("1.2.4.0/24"), 0)
 	s := &dataset.Series{

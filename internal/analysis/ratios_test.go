@@ -124,7 +124,7 @@ func TestPercentileEmptyAndEdges(t *testing.T) {
 // Ratio included, must come out zero rather than NaN/Inf.
 func TestCompareCoverageEmptyInputs(t *testing.T) {
 	ar := &atlas.Result{Blocks: ipv4.NewBlockSet(0)}
-	c := CompareCoverage(ar, verfploeter.NewCatchment(2), &hitlist.Hitlist{}, &geo.DB{})
+	c := CompareCoverage(ar, verfploeter.NewCatchment(2, nil), &hitlist.Hitlist{}, &geo.DB{})
 	if c.Ratio != 0 || math.IsNaN(c.Ratio) || math.IsInf(c.Ratio, 0) {
 		t.Errorf("Ratio = %v, want 0", c.Ratio)
 	}

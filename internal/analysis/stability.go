@@ -1,8 +1,10 @@
 package analysis
 
 import (
+	"slices"
 	"sort"
 
+	"verfploeter/internal/colstore"
 	"verfploeter/internal/ipv4"
 	"verfploeter/internal/topology"
 	"verfploeter/internal/verfploeter"
@@ -148,36 +150,42 @@ func TopFlipShare(rows []FlipAS, n int) float64 {
 // (the paper's 96-round campaign) want a map that transient flips and
 // responsiveness blinks cannot distort.
 func Consensus(rounds []*verfploeter.Catchment, minRounds int) *verfploeter.Catchment {
-	if len(rounds) == 0 {
-		return verfploeter.NewCatchment(1)
-	}
 	if minRounds < 1 {
 		minRounds = 1
 	}
-	nSite := rounds[0].NSite
-	votes := map[ipv4.Block][]int{}
+	nSite := 1
+	if len(rounds) > 0 {
+		nSite = rounds[0].NSite
+	}
+	var blocks []ipv4.Block
 	for _, r := range rounds {
-		r.Range(func(b ipv4.Block, site int) bool {
-			v := votes[b]
-			if v == nil {
-				v = make([]int, nSite)
-				votes[b] = v
-			}
-			v[site]++
+		r.Range(func(b ipv4.Block, _ int) bool {
+			blocks = append(blocks, b)
 			return true
 		})
 	}
-	out := verfploeter.NewCatchment(nSite)
-	for b, v := range votes {
+	slices.Sort(blocks)
+	ix := colstore.NewIndex(slices.Compact(blocks))
+	// votes[id*nSite+s] counts the rounds that mapped block ix.At(id) to s.
+	votes := make([]int, ix.Len()*nSite)
+	for _, r := range rounds {
+		r.Range(func(b ipv4.Block, site int) bool {
+			row := ix.Of(b) * nSite
+			votes[row : row+nSite][site]++ // a site past nSite panics, not spills
+			return true
+		})
+	}
+	out := verfploeter.NewCatchment(nSite, ix)
+	for id := 0; id < ix.Len(); id++ {
 		best, bestN, total := 0, 0, 0
-		for s, n := range v {
+		for s, n := range votes[id*nSite : (id+1)*nSite] {
 			total += n
 			if n > bestN {
 				best, bestN = s, n
 			}
 		}
 		if total >= minRounds {
-			out.Set(b, best)
+			out.Set(ix.At(id), best)
 		}
 	}
 	return out

@@ -12,15 +12,16 @@ package dataset
 
 import (
 	"bufio"
-	"compress/gzip"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"math"
 	"os"
+	"slices"
 	"time"
 
+	"verfploeter/internal/colstore"
 	"verfploeter/internal/ipv4"
 	"verfploeter/internal/verfploeter"
 )
@@ -110,52 +111,57 @@ func Write(w io.Writer, ds *Dataset) error {
 }
 
 // Read deserializes a dataset (any supported version) into a resident
-// Catchment. For constant-memory access to large v4 files, use
-// NewStreamReader instead.
+// Catchment over an index of the file's blocks. v1/v2 entries carry no
+// ordering promise: they are indexed in sorted order, and a block listed
+// twice keeps its first entry. For constant-memory access to large v4
+// files, use NewStreamReader instead.
 func Read(r io.Reader) (*Dataset, error) {
-	zr, err := gzip.NewReader(r)
-	if err != nil {
-		return nil, fmt.Errorf("%w: not gzip: %v", ErrFormat, err)
-	}
-	defer zr.Close()
-	br := bufio.NewReader(zr)
-
-	v, err := readVersion(br)
+	sr, err := NewStreamReader(r)
 	if err != nil {
 		return nil, err
 	}
-	ds := &Dataset{}
-	if ds.Meta, ds.Stats, err = readHeader(br, v); err != nil {
-		return nil, err
-	}
-	catchSites, n, err := readEntryCounts(br)
-	if err != nil {
-		return nil, err
-	}
-	c := verfploeter.NewCatchment(int(catchSites))
-	var last ipv4.Block
-	for i := uint32(0); i < n; i++ {
-		e, err := readEntry(br, v, int(catchSites))
+	entries := make([]Entry, 0, min(sr.Len(), entryPrealloc))
+	for {
+		e, err := sr.Next()
+		if err == io.EOF {
+			break
+		}
 		if err != nil {
+			sr.Close()
 			return nil, err
 		}
-		if v >= version {
-			if i > 0 && e.Block <= last {
-				return nil, fmt.Errorf("%w: entries not ascending at %v", ErrFormat, e.Block)
-			}
-			last = e.Block
-		}
-		if e.RTT > 0 {
-			c.SetRTT(e.Block, e.Site, e.RTT)
-		} else {
-			c.Set(e.Block, e.Site)
-		}
+		entries = append(entries, e)
 	}
-	ds.Catchment = c
-	if err := expectEOF(br); err != nil {
+	if err := sr.Close(); err != nil {
 		return nil, err
 	}
-	return ds, nil
+	return &Dataset{
+		Meta:      sr.Meta(),
+		Catchment: catchmentOf(sr.NSite(), entries, nil),
+		Stats:     sr.Stats(),
+	}, nil
+}
+
+// entryPrealloc caps the entry capacity reserved up front from a
+// declared count, so a corrupt header cannot force a huge allocation
+// before any entry has been read.
+const entryPrealloc = 1 << 16
+
+// catchmentOf builds a catchment over an index of the entries' blocks
+// plus extra, and records the entries in order, so a block listed twice
+// keeps its first entry.
+func catchmentOf(nSite int, entries []Entry, extra []ipv4.Block) *verfploeter.Catchment {
+	blocks := make([]ipv4.Block, 0, len(entries)+len(extra))
+	for _, e := range entries {
+		blocks = append(blocks, e.Block)
+	}
+	blocks = append(blocks, extra...)
+	slices.Sort(blocks)
+	c := verfploeter.NewCatchment(nSite, colstore.NewIndex(slices.Compact(blocks)))
+	for _, e := range entries {
+		c.SetRTT(e.Block, e.Site, e.RTT)
+	}
+	return c
 }
 
 // readVersion consumes the magic and version, rejecting the series
@@ -181,40 +187,10 @@ func readVersion(br *bufio.Reader) (uint16, error) {
 // readHeader parses the meta and stats blocks, identical across all
 // dataset versions except that v1 lacks the sweep-health stats tail.
 func readHeader(br *bufio.Reader, v uint16) (Meta, verfploeter.Stats, error) {
-	var meta Meta
-	var err error
-	if meta.ID, err = readString(br); err != nil {
-		return meta, verfploeter.Stats{}, err
-	}
-	if meta.Scenario, err = readString(br); err != nil {
-		return meta, verfploeter.Stats{}, err
-	}
-	nSites, err := readU16(br)
+	meta, err := readMeta(br)
 	if err != nil {
 		return meta, verfploeter.Stats{}, err
 	}
-	if nSites > MaxMetaSites {
-		return meta, verfploeter.Stats{}, fmt.Errorf("%w: %d sites", ErrFormat, nSites)
-	}
-	for i := 0; i < int(nSites); i++ {
-		s, err := readString(br)
-		if err != nil {
-			return meta, verfploeter.Stats{}, err
-		}
-		meta.Sites = append(meta.Sites, s)
-	}
-	if meta.RoundID, err = readU16(br); err != nil {
-		return meta, verfploeter.Stats{}, err
-	}
-	if meta.Seed, err = readU64(br); err != nil {
-		return meta, verfploeter.Stats{}, err
-	}
-	created, err := readU64(br)
-	if err != nil {
-		return meta, verfploeter.Stats{}, err
-	}
-	meta.CreatedUnix = int64(created)
-
 	nStats := 10
 	if v >= versionV2 {
 		nStats = 13
@@ -238,6 +214,58 @@ func readHeader(br *bufio.Reader, v uint16) (Meta, verfploeter.Stats, error) {
 	}, nil
 }
 
+// writeMeta encodes the metadata block shared by the v4 dataset and
+// v3 series headers.
+func writeMeta(bw *bufio.Writer, meta Meta) {
+	writeString(bw, meta.ID)
+	writeString(bw, meta.Scenario)
+	writeU16(bw, uint16(len(meta.Sites)))
+	for _, s := range meta.Sites {
+		writeString(bw, s)
+	}
+	writeU16(bw, meta.RoundID)
+	writeU64(bw, meta.Seed)
+	writeU64(bw, uint64(meta.CreatedUnix))
+}
+
+// readMeta parses the block writeMeta emits.
+func readMeta(br *bufio.Reader) (Meta, error) {
+	var meta Meta
+	var err error
+	if meta.ID, err = readString(br); err != nil {
+		return meta, err
+	}
+	if meta.Scenario, err = readString(br); err != nil {
+		return meta, err
+	}
+	nSites, err := readU16(br)
+	if err != nil {
+		return meta, err
+	}
+	if nSites > MaxMetaSites {
+		return meta, fmt.Errorf("%w: %d sites", ErrFormat, nSites)
+	}
+	for i := 0; i < int(nSites); i++ {
+		s, err := readString(br)
+		if err != nil {
+			return meta, err
+		}
+		meta.Sites = append(meta.Sites, s)
+	}
+	if meta.RoundID, err = readU16(br); err != nil {
+		return meta, err
+	}
+	if meta.Seed, err = readU64(br); err != nil {
+		return meta, err
+	}
+	created, err := readU64(br)
+	if err != nil {
+		return meta, err
+	}
+	meta.CreatedUnix = int64(created)
+	return meta, nil
+}
+
 // readEntryCounts parses and bounds-checks the catchment preamble.
 func readEntryCounts(br *bufio.Reader) (catchSites, n uint32, err error) {
 	if catchSites, err = readU32(br); err != nil {
@@ -255,8 +283,18 @@ func readEntryCounts(br *bufio.Reader) (catchSites, n uint32, err error) {
 	return catchSites, n, nil
 }
 
+// writeEntry encodes one entry in the v4 layout, which the v3 series
+// shares for its baseline and deltas: u32 block, u16 site, u64 RTT
+// nanoseconds (0 = none; a non-positive rtt records none).
+func writeEntry(bw *bufio.Writer, b ipv4.Block, site int, rtt time.Duration) {
+	writeU32(bw, uint32(b))
+	writeU16(bw, uint16(site))
+	writeU64(bw, uint64(max(rtt, 0)))
+}
+
 // readEntry parses one catchment entry in the given version's encoding:
-// u32 µs RTT for v1/v2, u64 ns for v4. Zero means no RTT either way.
+// u32 µs RTT for v1/v2, u64 ns for v4 and the v3 series. Zero means no
+// RTT either way.
 func readEntry(br *bufio.Reader, v uint16, catchSites int) (Entry, error) {
 	blk, err := readU32(br)
 	if err != nil {

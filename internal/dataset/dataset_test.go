@@ -159,7 +159,7 @@ func TestDiff(t *testing.T) {
 	}
 
 	// Mismatched deployments refuse to diff.
-	bad := &Dataset{Meta: Meta{}, Catchment: verfploeter.NewCatchment(9)}
+	bad := &Dataset{Meta: Meta{}, Catchment: verfploeter.NewCatchment(9, nil)}
 	if _, err := Diff(dsA, bad); err == nil {
 		t.Error("diff across site counts should fail")
 	}

@@ -8,9 +8,11 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
+	"verfploeter/internal/colstore"
 	"verfploeter/internal/ipv4"
 	"verfploeter/internal/verfploeter"
 )
@@ -24,15 +26,17 @@ func randomDataset(r *rand.Rand) *Dataset {
 	for i := range sites {
 		sites[i] = fmt.Sprintf("s%02d-%x", i, r.Uint32())
 	}
-	c := verfploeter.NewCatchment(nSite)
+	var entries []Entry
 	for i, n := 0, r.Intn(200); i < n; i++ {
-		b := ipv4.Block(r.Uint32())
-		site := r.Intn(nSite)
+		e := Entry{Block: ipv4.Block(r.Uint32()), Site: r.Intn(nSite)}
 		if r.Intn(2) == 0 {
-			c.SetRTT(b, site, time.Duration(1+r.Intn(500000))*time.Microsecond)
-		} else {
-			c.Set(b, site)
+			e.RTT = time.Duration(1+r.Intn(500000)) * time.Microsecond
 		}
+		entries = append(entries, e)
+	}
+	c := catchmentOver(nSite, blocksOf(entries)...)
+	for _, e := range entries {
+		c.SetRTT(e.Block, e.Site, e.RTT)
 	}
 	return &Dataset{
 		Meta: Meta{
@@ -54,6 +58,22 @@ func randomDataset(r *rand.Rand) *Dataset {
 			Targets: r.Intn(1 << 20), Responded: r.Intn(1 << 20), Retried: r.Intn(1 << 10),
 		},
 	}
+}
+
+// catchmentOver returns an empty catchment whose index holds the given
+// blocks (any order, duplicates allowed).
+func catchmentOver(nSite int, blocks ...ipv4.Block) *verfploeter.Catchment {
+	bs := slices.Clone(blocks)
+	slices.Sort(bs)
+	return verfploeter.NewCatchment(nSite, colstore.NewIndex(slices.Compact(bs)))
+}
+
+func blocksOf(entries []Entry) []ipv4.Block {
+	out := make([]ipv4.Block, len(entries))
+	for i, e := range entries {
+		out[i] = e.Block
+	}
+	return out
 }
 
 func catchmentsExactlyEqual(t *testing.T, want, got *verfploeter.Catchment) {
@@ -176,7 +196,7 @@ func TestTruncatedDatasetErrors(t *testing.T) {
 // TestTruncatedSeriesErrors is the same every-interior-byte sweep for
 // the v3 series reader.
 func TestTruncatedSeriesErrors(t *testing.T) {
-	base := verfploeter.NewCatchment(2)
+	base := catchmentOver(2, ipv4.Block(0x01020300), ipv4.Block(0x01020400))
 	base.SetRTT(ipv4.Block(0x01020300), 0, 40*time.Millisecond)
 	base.Set(ipv4.Block(0x01020400), 1)
 	s := &Series{
@@ -219,6 +239,20 @@ func TestTruncatedSeriesErrors(t *testing.T) {
 // carries the legacy layout itself.
 func writeV1(t *testing.T, w io.Writer, ds *Dataset) {
 	t.Helper()
+	var entries []Entry
+	for _, b := range ds.Catchment.Blocks() {
+		site, _ := ds.Catchment.SiteOf(b)
+		rtt, _ := ds.Catchment.RTTOf(b)
+		entries = append(entries, Entry{Block: b, Site: site, RTT: rtt})
+	}
+	writeV1Entries(t, w, ds, entries)
+}
+
+// writeV1Entries writes a v1 file with ds's header and the given
+// entries, in the given order — v1 never promised sorted or unique
+// blocks.
+func writeV1Entries(t *testing.T, w io.Writer, ds *Dataset, entries []Entry) {
+	t.Helper()
 	zw := gzip.NewWriter(w)
 	bw := bufio.NewWriter(zw)
 	bw.Write(magic[:])
@@ -243,23 +277,50 @@ func writeV1(t *testing.T, w io.Writer, ds *Dataset) {
 	writeU64(bw, uint64(ds.Stats.Clean.Duplicates))
 	writeU64(bw, uint64(ds.Stats.Clean.Kept))
 	writeU32(bw, uint32(ds.Catchment.NSite))
-	blocks := ds.Catchment.Blocks()
-	writeU32(bw, uint32(len(blocks)))
-	for _, b := range blocks {
-		site, _ := ds.Catchment.SiteOf(b)
-		writeU32(bw, uint32(b))
-		writeU16(bw, uint16(site))
-		rttMicros := uint32(0)
-		if rtt, ok := ds.Catchment.RTTOf(b); ok {
-			rttMicros = uint32(rtt.Microseconds())
-		}
-		writeU32(bw, rttMicros)
+	writeU32(bw, uint32(len(entries)))
+	for _, e := range entries {
+		writeU32(bw, uint32(e.Block))
+		writeU16(bw, uint16(e.Site))
+		writeU32(bw, uint32(e.RTT.Microseconds()))
 	}
 	if err := bw.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	if err := zw.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestReadV1UnsortedDuplicates: a v1 file may list blocks in any order
+// and more than once. Read indexes them sorted, and the first entry for
+// a block wins.
+func TestReadV1UnsortedDuplicates(t *testing.T) {
+	ds := &Dataset{Meta: Meta{ID: "V1"}, Catchment: verfploeter.NewCatchment(3, nil)}
+	var buf bytes.Buffer
+	writeV1Entries(t, &buf, ds, []Entry{
+		{Block: 0x0a0003, Site: 2, RTT: 3 * time.Millisecond},
+		{Block: 0x0a0001, Site: 0},
+		{Block: 0x0a0003, Site: 1, RTT: 9 * time.Millisecond}, // duplicate: loses
+		{Block: 0x0a0002, Site: 1, RTT: 2 * time.Millisecond},
+		{Block: 0x0a0001, Site: 2, RTT: time.Millisecond}, // duplicate: loses
+	})
+	back, err := Read(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []Entry{
+		{Block: 0x0a0001, Site: 0},
+		{Block: 0x0a0002, Site: 1, RTT: 2 * time.Millisecond},
+		{Block: 0x0a0003, Site: 2, RTT: 3 * time.Millisecond},
+	}
+	var got []Entry
+	back.Catchment.Range(func(b ipv4.Block, site int) bool {
+		rtt, _ := back.Catchment.RTTOf(b)
+		got = append(got, Entry{Block: b, Site: site, RTT: rtt})
+		return true
+	})
+	if !slices.Equal(got, want) {
+		t.Fatalf("read back %v, want %v", got, want)
 	}
 }
 

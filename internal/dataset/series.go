@@ -173,13 +173,23 @@ type Series struct {
 func (s *Series) Len() int { return len(s.Epochs) + 1 }
 
 // At reconstructs the catchment as of the given epoch (0 = baseline) by
-// replaying deltas — the time-travel read.
-func (s *Series) At(epoch int) (*verfploeter.Catchment, error) {
+// replaying deltas — the time-travel read. Every delta block must lie in
+// the baseline's index (ReadSeries and the monitor guarantee it); a
+// hand-built series that breaks this gets an error.
+func (s *Series) At(epoch int) (c *verfploeter.Catchment, err error) {
 	if epoch < 0 || epoch > len(s.Epochs) {
 		return nil, fmt.Errorf("dataset: epoch %d outside series 0..%d", epoch, len(s.Epochs))
 	}
-	c := s.Baseline.Clone()
-	for i := 0; i < epoch; i++ {
+	c = s.Baseline.Clone()
+	i := 0
+	defer func() {
+		// Reassign panics on a block outside the index or a site out of
+		// range; for a replay that is malformed input, not a bug.
+		if r := recover(); r != nil {
+			c, err = nil, fmt.Errorf("dataset: replaying epoch %d: %v", s.Epochs[i].Epoch, r)
+		}
+	}()
+	for ; i < epoch; i++ {
 		ep := &s.Epochs[i]
 		for _, d := range ep.Changed {
 			c.Reassign(d.Block, int(d.Site), d.RTT)
@@ -226,15 +236,7 @@ func WriteSeries(w io.Writer, s *Series) error {
 	bw.Write(magic[:])
 	writeU16(bw, seriesVersion)
 	bw.WriteByte(kindSeries)
-	writeString(bw, s.Meta.ID)
-	writeString(bw, s.Meta.Scenario)
-	writeU16(bw, uint16(len(s.Meta.Sites)))
-	for _, code := range s.Meta.Sites {
-		writeString(bw, code)
-	}
-	writeU16(bw, s.Meta.RoundID)
-	writeU64(bw, s.Meta.Seed)
-	writeU64(bw, uint64(s.Meta.CreatedUnix))
+	writeMeta(bw, s.Meta)
 
 	writeU32(bw, uint32(s.Strata))
 	writeU64(bw, math.Float64bits(s.SampleRate))
@@ -289,21 +291,10 @@ func writeCatchment(bw *bufio.Writer, c *verfploeter.Catchment) error {
 	writeU32(bw, uint32(len(blocks)))
 	for _, b := range blocks {
 		site, _ := c.SiteOf(b)
-		writeU32(bw, uint32(b))
-		writeU16(bw, uint16(site))
-		writeU64(bw, rttNanosOf(c, b))
+		rtt, _ := c.RTTOf(b)
+		writeEntry(bw, b, site, rtt)
 	}
 	return nil
-}
-
-// rttNanosOf encodes a block's RTT at full precision; 0 means no RTT
-// was recorded (simulated RTTs are never zero).
-func rttNanosOf(c *verfploeter.Catchment, b ipv4.Block) uint64 {
-	rtt, ok := c.RTTOf(b)
-	if !ok || rtt <= 0 {
-		return 0
-	}
-	return uint64(rtt)
 }
 
 func writeDeltas(bw *bufio.Writer, ds []Delta) error {
@@ -312,13 +303,7 @@ func writeDeltas(bw *bufio.Writer, ds []Delta) error {
 	}
 	writeU32(bw, uint32(len(ds)))
 	for _, d := range ds {
-		writeU32(bw, uint32(d.Block))
-		writeU16(bw, uint16(d.Site))
-		if d.RTT > 0 {
-			writeU64(bw, uint64(d.RTT))
-		} else {
-			writeU64(bw, 0)
-		}
+		writeEntry(bw, d.Block, int(d.Site), d.RTT)
 	}
 	return nil
 }
@@ -352,37 +337,9 @@ func ReadSeries(r io.Reader) (*Series, error) {
 	}
 
 	s := &Series{}
-	if s.Meta.ID, err = readString(br); err != nil {
+	if s.Meta, err = readMeta(br); err != nil {
 		return nil, err
 	}
-	if s.Meta.Scenario, err = readString(br); err != nil {
-		return nil, err
-	}
-	nSites, err := readU16(br)
-	if err != nil {
-		return nil, err
-	}
-	if nSites > MaxMetaSites {
-		return nil, fmt.Errorf("%w: %d sites", ErrFormat, nSites)
-	}
-	for i := 0; i < int(nSites); i++ {
-		code, err := readString(br)
-		if err != nil {
-			return nil, err
-		}
-		s.Meta.Sites = append(s.Meta.Sites, code)
-	}
-	if s.Meta.RoundID, err = readU16(br); err != nil {
-		return nil, err
-	}
-	if s.Meta.Seed, err = readU64(br); err != nil {
-		return nil, err
-	}
-	created, err := readU64(br)
-	if err != nil {
-		return nil, err
-	}
-	s.Meta.CreatedUnix = int64(created)
 
 	strata, err := readU32(br)
 	if err != nil {
@@ -400,7 +357,12 @@ func ReadSeries(r io.Reader) (*Series, error) {
 	}
 	s.BaselineProbes = int(baseProbes)
 
-	if s.Baseline, err = readCatchment(br); err != nil {
+	nSite, n, err := readEntryCounts(br)
+	if err != nil {
+		return nil, err
+	}
+	base, err := readEntries(br, n, int(nSite))
+	if err != nil {
 		return nil, err
 	}
 
@@ -433,10 +395,10 @@ func ReadSeries(r io.Reader) (*Series, error) {
 			return nil, err
 		}
 		ep.EscalatedStrata = int(esc)
-		if ep.Changed, err = readDeltas(br, s.Baseline.NSite); err != nil {
+		if ep.Changed, err = readDeltas(br, int(nSite)); err != nil {
 			return nil, err
 		}
-		if ep.Added, err = readDeltas(br, s.Baseline.NSite); err != nil {
+		if ep.Added, err = readDeltas(br, int(nSite)); err != nil {
 			return nil, err
 		}
 		nRem, err := readU32(br)
@@ -499,48 +461,33 @@ func ReadSeries(r io.Reader) (*Series, error) {
 	if err := expectEOF(br); err != nil {
 		return nil, err
 	}
+	// The baseline's index also covers every block a later epoch adds or
+	// changes, so At replays within it.
+	var touched []ipv4.Block
+	for i := range s.Epochs {
+		for _, d := range s.Epochs[i].Changed {
+			touched = append(touched, d.Block)
+		}
+		for _, d := range s.Epochs[i].Added {
+			touched = append(touched, d.Block)
+		}
+	}
+	s.Baseline = catchmentOf(int(nSite), base, touched)
 	return s, nil
 }
 
-func readCatchment(br *bufio.Reader) (*verfploeter.Catchment, error) {
-	nSite, err := readU32(br)
-	if err != nil {
-		return nil, err
-	}
-	if nSite == 0 || nSite > MaxSites {
-		return nil, fmt.Errorf("%w: catchment with %d sites", ErrFormat, nSite)
-	}
-	n, err := readU32(br)
-	if err != nil {
-		return nil, err
-	}
-	if n > MaxEntries {
-		return nil, fmt.Errorf("%w: %d entries", ErrFormat, n)
-	}
-	c := verfploeter.NewCatchment(int(nSite))
+// readEntries parses n v4-layout entries — the series baseline, or one
+// delta list — through the same checked decoder as a v4 dataset.
+func readEntries(br *bufio.Reader, n uint32, nSite int) ([]Entry, error) {
+	out := make([]Entry, 0, min(int(n), entryPrealloc))
 	for i := uint32(0); i < n; i++ {
-		blk, err := readU32(br)
+		e, err := readEntry(br, version, nSite)
 		if err != nil {
 			return nil, err
 		}
-		site, err := readU16(br)
-		if err != nil {
-			return nil, err
-		}
-		if int(site) >= int(nSite) {
-			return nil, fmt.Errorf("%w: entry site %d of %d", ErrFormat, site, nSite)
-		}
-		rttNanos, err := readU64(br)
-		if err != nil {
-			return nil, err
-		}
-		if rttNanos > 0 {
-			c.SetRTT(ipv4.Block(blk), int(site), time.Duration(rttNanos))
-		} else {
-			c.Set(ipv4.Block(blk), int(site))
-		}
+		out = append(out, e)
 	}
-	return c, nil
+	return out, nil
 }
 
 func readDeltas(br *bufio.Reader, nSite int) ([]Delta, error) {
@@ -551,28 +498,13 @@ func readDeltas(br *bufio.Reader, nSite int) ([]Delta, error) {
 	if n > MaxEntries {
 		return nil, fmt.Errorf("%w: %d deltas", ErrFormat, n)
 	}
-	out := make([]Delta, 0, n)
-	for i := uint32(0); i < n; i++ {
-		var d Delta
-		blk, err := readU32(br)
-		if err != nil {
-			return nil, err
-		}
-		d.Block = ipv4.Block(blk)
-		site, err := readU16(br)
-		if err != nil {
-			return nil, err
-		}
-		if int(site) >= nSite {
-			return nil, fmt.Errorf("%w: delta site %d of %d", ErrFormat, site, nSite)
-		}
-		d.Site = int16(site)
-		rttNanos, err := readU64(br)
-		if err != nil {
-			return nil, err
-		}
-		d.RTT = time.Duration(rttNanos)
-		out = append(out, d)
+	entries, err := readEntries(br, n, nSite)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]Delta, len(entries))
+	for i, e := range entries {
+		out[i] = Delta{Block: e.Block, Site: int16(e.Site), RTT: e.RTT}
 	}
 	return out, nil
 }

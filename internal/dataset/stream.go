@@ -60,15 +60,7 @@ func NewStreamWriter(w io.Writer, meta Meta, stats verfploeter.Stats, nSite, n i
 
 	bw.Write(magic[:])
 	writeU16(bw, version)
-	writeString(bw, meta.ID)
-	writeString(bw, meta.Scenario)
-	writeU16(bw, uint16(len(meta.Sites)))
-	for _, s := range meta.Sites {
-		writeString(bw, s)
-	}
-	writeU16(bw, meta.RoundID)
-	writeU64(bw, meta.Seed)
-	writeU64(bw, uint64(meta.CreatedUnix))
+	writeMeta(bw, meta)
 
 	writeU64(bw, uint64(stats.Sent))
 	writeU64(bw, uint64(stats.SendErrs))
@@ -106,13 +98,7 @@ func (sw *StreamWriter) Append(b ipv4.Block, site int, rtt time.Duration) error 
 	sw.first = false
 	sw.last = b
 	sw.left--
-	writeU32(sw.bw, uint32(b))
-	writeU16(sw.bw, uint16(site))
-	if rtt > 0 {
-		writeU64(sw.bw, uint64(rtt))
-	} else {
-		writeU64(sw.bw, 0)
-	}
+	writeEntry(sw.bw, b, site, rtt)
 	return nil
 }
 

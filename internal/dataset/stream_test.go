@@ -20,7 +20,7 @@ import (
 // doubles as the no-RTT marker, so the RTT silently vanished on read.
 // The v4 nanosecond encoding must keep them exactly.
 func TestSubMicrosecondRTTSurvives(t *testing.T) {
-	c := verfploeter.NewCatchment(2)
+	c := catchmentOver(2, ipv4.Block(0x01020300), ipv4.Block(0x01020400), ipv4.Block(0x01020500))
 	c.SetRTT(ipv4.Block(0x01020300), 0, 500*time.Nanosecond)
 	c.SetRTT(ipv4.Block(0x01020400), 1, time.Nanosecond)
 	c.SetRTT(ipv4.Block(0x01020500), 1, 42*time.Millisecond+17*time.Nanosecond)
@@ -61,7 +61,7 @@ func TestWriteEnforcesCaps(t *testing.T) {
 	for i := range tooManySites {
 		tooManySites[i] = fmt.Sprintf("s%d", i)
 	}
-	c := verfploeter.NewCatchment(1)
+	c := catchmentOver(1, ipv4.Block(0x01020300))
 	c.Set(ipv4.Block(0x01020300), 0)
 	ds := &Dataset{Meta: Meta{ID: "X", Sites: tooManySites}, Catchment: c}
 	if err := Write(io.Discard, ds); !errors.Is(err, ErrLimit) {
@@ -87,7 +87,7 @@ func TestWriteEnforcesCaps(t *testing.T) {
 		t.Errorf("series oversized meta sites: err = %v, want ErrLimit", err)
 	}
 	s.Meta.Sites = []string{"lax"}
-	s.Baseline = verfploeter.NewCatchment(MaxSites + 1)
+	s.Baseline = verfploeter.NewCatchment(MaxSites+1, nil)
 	if err := WriteSeries(io.Discard, s); !errors.Is(err, ErrLimit) {
 		t.Errorf("series oversized catchment sites: err = %v, want ErrLimit", err)
 	}
@@ -134,7 +134,7 @@ func streamDrain(r io.Reader) (*Dataset, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := verfploeter.NewCatchment(sr.NSite())
+	var entries []Entry
 	for {
 		e, err := sr.Next()
 		if err == io.EOF {
@@ -144,14 +144,14 @@ func streamDrain(r io.Reader) (*Dataset, error) {
 			sr.Close()
 			return nil, err
 		}
-		if e.RTT > 0 {
-			c.SetRTT(e.Block, e.Site, e.RTT)
-		} else {
-			c.Set(e.Block, e.Site)
-		}
+		entries = append(entries, e)
 	}
 	if err := sr.Close(); err != nil {
 		return nil, err
+	}
+	c := catchmentOver(sr.NSite(), blocksOf(entries)...)
+	for _, e := range entries {
+		c.SetRTT(e.Block, e.Site, e.RTT)
 	}
 	return &Dataset{Meta: sr.Meta(), Catchment: c, Stats: sr.Stats()}, nil
 }
@@ -315,7 +315,7 @@ func TestUpgradeRoundTripProperty(t *testing.T) {
 // via At() and persisted as a v4 dataset, must round-trip exactly — the
 // series' nanosecond RTTs fit v4 without loss.
 func TestUpgradeSeriesEpochToV4(t *testing.T) {
-	base := verfploeter.NewCatchment(2)
+	base := catchmentOver(2, ipv4.Block(0x01020300), ipv4.Block(0x01020400))
 	base.SetRTT(ipv4.Block(0x01020300), 0, 40*time.Millisecond+321*time.Nanosecond)
 	base.Set(ipv4.Block(0x01020400), 1)
 	s := &Series{

@@ -49,6 +49,7 @@ import (
 	"verfploeter/internal/predict"
 	"verfploeter/internal/querylog"
 	"verfploeter/internal/scenario"
+	"verfploeter/internal/topology"
 	"verfploeter/internal/verfploeter"
 )
 
@@ -613,26 +614,21 @@ type strata struct {
 	n int
 	// byAS[asIdx] = stratum; blocks[stratum] = the member blocks, in
 	// topology (sorted-block) order; perAS[asIdx] = that AS's blocks,
-	// for per-AS sampling; ofBlock inverts blocks for drift lookups.
-	byAS    []int
-	blocks  [][]ipv4.Block
-	perAS   [][]ipv4.Block
-	ofBlock map[ipv4.Block]int
-	// pred maps each block to its topology predecessor — the only block
-	// whose probe can alias a reply into it (dataplane's cross-alias
-	// rule). Partial sweeps probe predecessors alongside their targets to
-	// keep per-block observations identical to a full sweep.
-	pred map[ipv4.Block]ipv4.Block
+	// for per-AS sampling. top resolves a block's stratum and topology
+	// predecessor through its dense id.
+	byAS   []int
+	blocks [][]ipv4.Block
+	perAS  [][]ipv4.Block
+	top    *topology.Topology
 }
 
 func buildStrata(s *scenario.Scenario, n int) *strata {
 	st := &strata{
-		n:       n,
-		byAS:    make([]int, len(s.Top.ASes)),
-		blocks:  make([][]ipv4.Block, n),
-		perAS:   make([][]ipv4.Block, len(s.Top.ASes)),
-		ofBlock: make(map[ipv4.Block]int, len(s.Top.Blocks)),
-		pred:    make(map[ipv4.Block]ipv4.Block, len(s.Top.Blocks)),
+		n:      n,
+		byAS:   make([]int, len(s.Top.ASes)),
+		blocks: make([][]ipv4.Block, n),
+		perAS:  make([][]ipv4.Block, len(s.Top.ASes)),
+		top:    s.Top,
 	}
 	for asIdx := range s.Top.ASes {
 		st.byAS[asIdx] = int(mix64(s.Seed^0x5742a7a7, uint64(asIdx)) % uint64(n))
@@ -642,22 +638,31 @@ func buildStrata(s *scenario.Scenario, n int) *strata {
 		stratum := st.byAS[bi.ASIdx]
 		st.blocks[stratum] = append(st.blocks[stratum], bi.Block)
 		st.perAS[bi.ASIdx] = append(st.perAS[bi.ASIdx], bi.Block)
-		st.ofBlock[bi.Block] = stratum
-		if i > 0 {
-			st.pred[bi.Block] = s.Top.Blocks[i-1].Block
-		}
 	}
 	return st
 }
 
+// stratumOf returns the stratum holding block b, if b is a topology
+// block.
+func (st *strata) stratumOf(b ipv4.Block) (int, bool) {
+	i := st.top.BlockIndex(b)
+	if i < 0 {
+		return 0, false
+	}
+	return st.byAS[st.top.Blocks[i].ASIdx], true
+}
+
 // withPredecessors returns sub extended with each member's topology
-// predecessor (sub itself is not modified).
+// predecessor — the only block whose probe can alias a reply into it
+// (dataplane's cross-alias rule), so partial sweeps probing both keep
+// per-block observations identical to a full sweep. sub itself is not
+// modified.
 func (st *strata) withPredecessors(sub *ipv4.BlockSet) *ipv4.BlockSet {
 	out := ipv4.NewBlockSet(sub.Len() + sub.Len()/4)
 	sub.Range(func(b ipv4.Block) bool {
 		out.Add(b)
-		if p, ok := st.pred[b]; ok {
-			out.Add(p)
+		if i := st.top.BlockIndex(b); i > 0 {
+			out.Add(st.top.Blocks[i-1].Block)
 		}
 		return true
 	})
@@ -738,7 +743,7 @@ func driftedStrata(prev, obs *verfploeter.Catchment, sample *ipv4.BlockSet, st *
 		}
 		if drifted {
 			n++
-			if stratum, ok := st.ofBlock[b]; ok {
+			if stratum, ok := st.stratumOf(b); ok {
 				esc[stratum] = true
 			}
 		}

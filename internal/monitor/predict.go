@@ -45,7 +45,7 @@ func (ss *Session) predictEpoch(er *EpochResult) (*verfploeter.Catchment, error)
 	// Strata touching the predicted flip set escalate outright.
 	affected := make(map[int]bool)
 	pr.Affected.Range(func(b ipv4.Block) bool {
-		if stratum, ok := st.ofBlock[b]; ok {
+		if stratum, ok := st.stratumOf(b); ok {
 			affected[stratum] = true
 		}
 		return true

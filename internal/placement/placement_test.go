@@ -168,7 +168,7 @@ func TestSortByImprovement(t *testing.T) {
 }
 
 func scenarioEmptyCatchment() *verfploeter.Catchment {
-	return verfploeter.NewCatchment(2)
+	return verfploeter.NewCatchment(2, nil)
 }
 
 // Equal RTT gains must not leave the merged order unspecified: the sort

@@ -98,8 +98,9 @@ type Snapshot struct {
 }
 
 // BuildSnapshot flattens one epoch's catchment into an immutable read
-// snapshot. Cost is one O(n log n)-ish pass over the mapped blocks
-// (Blocks() sorts only when a map tail exists); the read path then
+// snapshot. Cost is one pass over the mapped blocks, which Blocks()
+// returns already ascending, with a few binary searches per block (its
+// site, RTT, and topology entry): O(n log n) in all. The read path then
 // never touches the catchment again.
 func BuildSnapshot(tenant string, epoch int, swept bool, scn *scenario.Scenario,
 	c *verfploeter.Catchment, log *querylog.Log, capacity []float64) *Snapshot {

@@ -33,45 +33,31 @@ import (
 // replies during one measurement round, optionally with the reply's
 // round-trip time (the raw material for §7's site-placement suggestion).
 //
-// Storage is dual-mode. A catchment built over a dense block index
-// (NewIndexedCatchment — what the sweep's fold produces) keeps sites and
-// RTTs in flat columns keyed by the index's id: 2 B per indexed block
-// for the site, 8 B only if any RTT is recorded, zero per-entry
-// allocation, deterministic ascending iteration. Blocks outside the
-// index — and every entry of a plain NewCatchment — live in a small map
-// tail, so delta replay (monitoring epochs reassigning blocks that later
-// fell out of the hitlist) and legacy callers keep working unchanged.
-// All methods observe the union of both parts; two catchments are Equal
-// based on content, regardless of which mode holds each entry.
+// A catchment is a pair of flat columns over a dense block index
+// (colstore.Index): 2 B per indexed block for the site, 8 B only once
+// any RTT is recorded, zero per-entry allocation. The index fixes which
+// blocks the catchment can hold — the sweep's fold uses the hitlist's
+// index, dataset readers an index of the file's blocks — and iteration
+// is always in ascending block order. Writing a block outside the index
+// panics, like an out-of-range site; reads and Delete treat it as
+// absent.
 type Catchment struct {
 	NSite int
 
-	// Columnar part, present when ix != nil. csites[id] is the site of
-	// block ix.At(id), -1 when unmapped; crtts (lazily allocated) holds
-	// RTT nanoseconds, 0 meaning none. cn/cnrtt count mapped blocks and
-	// recorded RTTs in the columns.
+	// csites[id] is the site of block ix.At(id), -1 when unmapped; crtts
+	// (lazily allocated) holds RTT nanoseconds, 0 meaning none. cn/cnrtt
+	// count mapped blocks and recorded RTTs.
 	ix     *colstore.Index
 	csites []int16
 	crtts  []int64
 	cn     int
 	cnrtt  int
-
-	// Map tail: entries for blocks not covered by ix (all entries, in
-	// map-only mode). Lazily allocated.
-	sites map[ipv4.Block]int16
-	rtts  map[ipv4.Block]time.Duration
 }
 
-// NewCatchment returns an empty map-backed catchment table for nSite
-// sites — the right choice for small or sparse tables (dataset readers,
-// consensus builders, tests).
-func NewCatchment(nSite int) *Catchment {
-	return &Catchment{NSite: nSite, sites: make(map[ipv4.Block]int16)}
-}
-
-// NewIndexedCatchment returns an empty catchment whose entries for
-// blocks in ix are stored columnarly. The index is shared, not copied.
-func NewIndexedCatchment(nSite int, ix *colstore.Index) *Catchment {
+// NewCatchment returns an empty catchment for nSite sites over the
+// blocks of ix (a nil ix holds no blocks). The index is shared, not
+// copied.
+func NewCatchment(nSite int, ix *colstore.Index) *Catchment {
 	c := &Catchment{NSite: nSite, ix: ix, csites: make([]int16, ix.Len())}
 	for i := range c.csites {
 		c.csites[i] = -1
@@ -87,100 +73,68 @@ func (c *Catchment) checkSite(s int) {
 
 // ensureRTTs materializes the RTT column (all-zero = none recorded).
 func (c *Catchment) ensureRTTs() {
-	if c.crtts == nil && c.ix != nil {
-		c.crtts = make([]int64, c.ix.Len())
+	if c.crtts == nil {
+		c.crtts = make([]int64, len(c.csites))
 	}
 }
 
-// id returns the columnar id for b, or -1 when b lives in the map tail.
-func (c *Catchment) id(b ipv4.Block) int {
-	if c.ix == nil {
-		return -1
+// mustID returns b's columnar id for a write, panicking when b is not
+// indexed.
+func (c *Catchment) mustID(b ipv4.Block) int {
+	id := c.ix.Of(b)
+	if id < 0 {
+		panic(fmt.Sprintf("verfploeter: block %v outside the catchment's index", b))
 	}
-	return c.ix.Of(b)
+	return id
 }
 
 // Set records block b as belonging to site s. The first observation of a
 // block wins: a block answering twice inside one round (flip mid-round)
 // keeps its first site, like a first-reply-wins packet capture merge.
 func (c *Catchment) Set(b ipv4.Block, s int) {
-	c.checkSite(s)
-	if id := c.id(b); id >= 0 {
-		if c.csites[id] < 0 {
-			c.csites[id] = int16(s)
-			c.cn++
-		}
-		return
-	}
-	if c.sites == nil {
-		c.sites = make(map[ipv4.Block]int16)
-	}
-	if _, ok := c.sites[b]; !ok {
-		c.sites[b] = int16(s)
-	}
+	c.SetRTT(b, s, 0)
 }
 
 // SetRTT records block b's site along with the probe's measured
-// round-trip time. First observation wins, as with Set.
+// round-trip time (none when rtt <= 0). First observation wins, as with
+// Set.
 func (c *Catchment) SetRTT(b ipv4.Block, s int, rtt time.Duration) {
 	c.checkSite(s)
-	if id := c.id(b); id >= 0 {
-		if c.csites[id] >= 0 {
-			return
-		}
-		c.csites[id] = int16(s)
-		c.cn++
-		if rtt > 0 {
-			c.ensureRTTs()
-			c.crtts[id] = int64(rtt)
-			c.cnrtt++
-		}
+	id := c.mustID(b)
+	if c.csites[id] >= 0 {
 		return
 	}
-	if _, ok := c.sites[b]; ok {
-		return
-	}
-	if c.sites == nil {
-		c.sites = make(map[ipv4.Block]int16)
-	}
-	c.sites[b] = int16(s)
+	c.csites[id] = int16(s)
+	c.cn++
 	if rtt > 0 {
-		if c.rtts == nil {
-			c.rtts = make(map[ipv4.Block]time.Duration)
-		}
-		c.rtts[b] = rtt
+		c.ensureRTTs()
+		c.crtts[id] = int64(rtt)
+		c.cnrtt++
 	}
 }
 
 // RTTOf returns the measured round-trip time for a block, if recorded.
 func (c *Catchment) RTTOf(b ipv4.Block) (time.Duration, bool) {
-	if id := c.id(b); id >= 0 {
-		if c.crtts == nil || c.crtts[id] == 0 {
-			return 0, false
-		}
-		return time.Duration(c.crtts[id]), true
+	id := c.ix.Of(b)
+	if id < 0 || c.crtts == nil || c.crtts[id] == 0 {
+		return 0, false
 	}
-	d, ok := c.rtts[b]
-	return d, ok
+	return time.Duration(c.crtts[id]), true
 }
 
 // RTTCount returns how many blocks carry a recorded RTT.
-func (c *Catchment) RTTCount() int { return c.cnrtt + len(c.rtts) }
+func (c *Catchment) RTTCount() int { return c.cnrtt }
 
 // MedianRTT returns the median recorded RTT (0 when none recorded).
 func (c *Catchment) MedianRTT() time.Duration {
-	n := c.RTTCount()
-	if n == 0 {
+	if c.cnrtt == 0 {
 		return 0
 	}
-	v := make([]time.Duration, 0, n)
+	v := make([]time.Duration, 0, c.cnrtt)
 	for _, ns := range c.crtts {
 		if ns != 0 {
 			v = append(v, time.Duration(ns))
 		}
-	}
-	for _, d := range c.rtts {
-		v = append(v, d)
 	}
 	sort.Slice(v, func(i, j int) bool { return v[i] < v[j] })
 	return v[len(v)/2]
@@ -190,25 +144,9 @@ func (c *Catchment) MedianRTT() time.Duration {
 // shared).
 func (c *Catchment) Clone() *Catchment {
 	o := &Catchment{NSite: c.NSite, ix: c.ix, cn: c.cn, cnrtt: c.cnrtt}
-	if c.csites != nil {
-		o.csites = make([]int16, len(c.csites))
-		copy(o.csites, c.csites)
-	}
+	o.csites = append([]int16(nil), c.csites...)
 	if c.crtts != nil {
-		o.crtts = make([]int64, len(c.crtts))
-		copy(o.crtts, c.crtts)
-	}
-	if c.sites != nil {
-		o.sites = make(map[ipv4.Block]int16, len(c.sites))
-		for b, s := range c.sites {
-			o.sites[b] = s
-		}
-	}
-	if len(c.rtts) > 0 {
-		o.rtts = make(map[ipv4.Block]time.Duration, len(c.rtts))
-		for b, d := range c.rtts {
-			o.rtts[b] = d
-		}
+		o.crtts = append([]int64(nil), c.crtts...)
 	}
 	return o
 }
@@ -220,59 +158,44 @@ func (c *Catchment) Clone() *Catchment {
 // entry, not keep it.
 func (c *Catchment) Reassign(b ipv4.Block, s int, rtt time.Duration) {
 	c.checkSite(s)
-	if id := c.id(b); id >= 0 {
-		if c.csites[id] < 0 {
-			c.cn++
-		}
-		c.csites[id] = int16(s)
-		if rtt > 0 {
-			c.ensureRTTs()
-			if c.crtts[id] == 0 {
-				c.cnrtt++
-			}
-			c.crtts[id] = int64(rtt)
-		} else if c.crtts != nil && c.crtts[id] != 0 {
-			c.crtts[id] = 0
-			c.cnrtt--
-		}
-		return
+	id := c.mustID(b)
+	if c.csites[id] < 0 {
+		c.cn++
 	}
-	if c.sites == nil {
-		c.sites = make(map[ipv4.Block]int16)
-	}
-	c.sites[b] = int16(s)
+	c.csites[id] = int16(s)
 	if rtt > 0 {
-		if c.rtts == nil {
-			c.rtts = make(map[ipv4.Block]time.Duration)
+		c.ensureRTTs()
+		if c.crtts[id] == 0 {
+			c.cnrtt++
 		}
-		c.rtts[b] = rtt
-	} else {
-		delete(c.rtts, b)
+		c.crtts[id] = int64(rtt)
+	} else if c.crtts != nil && c.crtts[id] != 0 {
+		c.crtts[id] = 0
+		c.cnrtt--
 	}
 }
 
-// Delete removes block b — a block that went silent between epochs.
+// Delete removes block b — a block that went silent between epochs. A
+// block outside the index is already absent, so deleting it is a no-op.
 func (c *Catchment) Delete(b ipv4.Block) {
-	if id := c.id(b); id >= 0 {
-		if c.csites[id] >= 0 {
-			c.csites[id] = -1
-			c.cn--
-		}
-		if c.crtts != nil && c.crtts[id] != 0 {
-			c.crtts[id] = 0
-			c.cnrtt--
-		}
+	id := c.ix.Of(b)
+	if id < 0 {
 		return
 	}
-	delete(c.sites, b)
-	delete(c.rtts, b)
+	if c.csites[id] >= 0 {
+		c.csites[id] = -1
+		c.cn--
+	}
+	if c.crtts != nil && c.crtts[id] != 0 {
+		c.crtts[id] = 0
+		c.cnrtt--
+	}
 }
 
 // Equal reports whether two catchments record exactly the same blocks,
 // sites, and RTTs — the identity check behind the monitor's
-// sample-vs-full determinism contract. Equality is content-based: a
-// columnar catchment and a map-backed one holding the same entries are
-// equal.
+// sample-vs-full determinism contract. Equality is content-based: two
+// catchments over different indexes holding the same entries are equal.
 func (c *Catchment) Equal(o *Catchment) bool {
 	if c.NSite != o.NSite || c.Len() != o.Len() || c.RTTCount() != o.RTTCount() {
 		return false
@@ -297,18 +220,15 @@ func (c *Catchment) Equal(o *Catchment) bool {
 
 // SiteOf returns the catchment site for a block.
 func (c *Catchment) SiteOf(b ipv4.Block) (int, bool) {
-	if id := c.id(b); id >= 0 {
-		if s := c.csites[id]; s >= 0 {
-			return int(s), true
-		}
+	id := c.ix.Of(b)
+	if id < 0 || c.csites[id] < 0 {
 		return 0, false
 	}
-	s, ok := c.sites[b]
-	return int(s), ok
+	return int(c.csites[id]), true
 }
 
 // Len returns the number of mapped blocks.
-func (c *Catchment) Len() int { return c.cn + len(c.sites) }
+func (c *Catchment) Len() int { return c.cn }
 
 // Counts returns mapped-block tallies per site.
 func (c *Catchment) Counts() []int {
@@ -318,16 +238,12 @@ func (c *Catchment) Counts() []int {
 			out[s]++
 		}
 	}
-	for _, s := range c.sites {
-		out[s]++
-	}
 	return out
 }
 
 // Fraction returns site s's share of mapped blocks (0 when empty).
 func (c *Catchment) Fraction(s int) float64 {
-	total := c.Len()
-	if total == 0 {
+	if c.cn == 0 {
 		return 0
 	}
 	n := 0
@@ -336,26 +252,14 @@ func (c *Catchment) Fraction(s int) float64 {
 			n++
 		}
 	}
-	for _, v := range c.sites {
-		if int(v) == s {
-			n++
-		}
-	}
-	return float64(n) / float64(total)
+	return float64(n) / float64(c.cn)
 }
 
-// Range iterates the catchment; return false to stop. Columnar entries
-// come first, in ascending block order; map-tail entries follow in map
-// order. Consumers must not depend on order beyond that (and never
-// could: map-only catchments iterate in randomized map order).
+// Range iterates the mapped blocks in ascending block order; return
+// false to stop.
 func (c *Catchment) Range(fn func(b ipv4.Block, site int) bool) {
 	for id, s := range c.csites {
 		if s >= 0 && !fn(c.ix.At(id), int(s)) {
-			return
-		}
-	}
-	for b, s := range c.sites {
-		if !fn(b, int(s)) {
 			return
 		}
 	}
@@ -375,30 +279,16 @@ func (c *Catchment) rangeRTT(fn func(b ipv4.Block, site int, rtt time.Duration) 
 			return
 		}
 	}
-	for b, s := range c.sites {
-		if !fn(b, int(s), c.rtts[b]) {
-			return
-		}
-	}
 }
 
-// Blocks returns the mapped blocks, sorted — for deterministic reports.
+// Blocks returns the mapped blocks in ascending order — for
+// deterministic reports.
 func (c *Catchment) Blocks() []ipv4.Block {
-	out := make([]ipv4.Block, 0, c.Len())
-	for id, s := range c.csites {
-		if s >= 0 {
-			out = append(out, c.ix.At(id))
-		}
-	}
-	tail := len(out)
-	for b := range c.sites {
+	out := make([]ipv4.Block, 0, c.cn)
+	c.Range(func(b ipv4.Block, _ int) bool {
 		out = append(out, b)
-	}
-	if tail < len(out) {
-		// The columnar prefix is already ascending; a map tail forces a
-		// full re-sort of the union.
-		sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	}
+		return true
+	})
 	return out
 }
 

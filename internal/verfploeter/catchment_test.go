@@ -1,8 +1,11 @@
 package verfploeter
 
 import (
+	"slices"
 	"testing"
+	"time"
 
+	"verfploeter/internal/colstore"
 	"verfploeter/internal/ipv4"
 )
 
@@ -14,11 +17,22 @@ func blk(s string) ipv4.Block {
 	return b
 }
 
+// catchmentOver returns an empty catchment whose index holds the given
+// blocks (any order, duplicates allowed).
+func catchmentOver(nSite int, blocks ...string) *Catchment {
+	bs := make([]ipv4.Block, len(blocks))
+	for i, s := range blocks {
+		bs[i] = blk(s)
+	}
+	slices.Sort(bs)
+	return NewCatchment(nSite, colstore.NewIndex(slices.Compact(bs)))
+}
+
 func TestCatchmentBasics(t *testing.T) {
-	c := NewCatchment(2)
+	c := catchmentOver(2, "10.0.0.0", "10.0.1.0", "10.0.2.0", "10.0.3.0")
+	c.Set(blk("10.0.2.0"), 1)
 	c.Set(blk("10.0.0.0"), 0)
 	c.Set(blk("10.0.1.0"), 1)
-	c.Set(blk("10.0.2.0"), 1)
 
 	if c.Len() != 3 {
 		t.Fatalf("Len = %d", c.Len())
@@ -37,15 +51,59 @@ func TestCatchmentBasics(t *testing.T) {
 		t.Errorf("Fraction(1) = %v", f)
 	}
 	blocks := c.Blocks()
+	if len(blocks) != 3 {
+		t.Fatalf("Blocks = %v, want the 3 mapped", blocks)
+	}
 	for i := 1; i < len(blocks); i++ {
 		if blocks[i-1] >= blocks[i] {
 			t.Fatal("Blocks not sorted")
 		}
 	}
+	var ranged []ipv4.Block
+	c.Range(func(b ipv4.Block, _ int) bool {
+		ranged = append(ranged, b)
+		return true
+	})
+	if !slices.Equal(ranged, blocks) {
+		t.Errorf("Range order %v, want ascending %v", ranged, blocks)
+	}
+}
+
+// TestCatchmentOutsideIndex: the index fixes which blocks a catchment
+// can hold. Writing any other block panics, like an out-of-range site;
+// reads and Delete treat it as absent.
+func TestCatchmentOutsideIndex(t *testing.T) {
+	c := catchmentOver(2, "10.0.0.0")
+	c.SetRTT(blk("10.0.0.0"), 1, time.Millisecond)
+	out := blk("10.9.9.0")
+	for name, write := range map[string]func(){
+		"Set":      func() { c.Set(out, 0) },
+		"SetRTT":   func() { c.SetRTT(out, 0, time.Millisecond) },
+		"Reassign": func() { c.Reassign(out, 0, 0) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s outside the index should panic", name)
+				}
+			}()
+			write()
+		}()
+	}
+	c.Delete(out)
+	if c.Len() != 1 || c.RTTCount() != 1 {
+		t.Errorf("Delete outside the index changed the catchment: len %d, rtts %d", c.Len(), c.RTTCount())
+	}
+	if _, ok := c.SiteOf(out); ok {
+		t.Error("SiteOf outside the index should miss")
+	}
+	if _, ok := c.RTTOf(out); ok {
+		t.Error("RTTOf outside the index should miss")
+	}
 }
 
 func TestCatchmentFirstObservationWins(t *testing.T) {
-	c := NewCatchment(2)
+	c := catchmentOver(2, "10.0.0.0")
 	c.Set(blk("10.0.0.0"), 0)
 	c.Set(blk("10.0.0.0"), 1) // mid-round flip: ignored
 	if s, _ := c.SiteOf(blk("10.0.0.0")); s != 0 {
@@ -57,7 +115,7 @@ func TestCatchmentFirstObservationWins(t *testing.T) {
 }
 
 func TestCatchmentSetValidation(t *testing.T) {
-	c := NewCatchment(2)
+	c := catchmentOver(2, "10.0.0.0")
 	defer func() {
 		if recover() == nil {
 			t.Error("out-of-range site should panic")
@@ -67,8 +125,9 @@ func TestCatchmentSetValidation(t *testing.T) {
 }
 
 func TestDiff(t *testing.T) {
-	prev := NewCatchment(2)
-	cur := NewCatchment(2)
+	all := []string{"10.0.0.0", "10.0.1.0", "10.0.2.0", "10.0.3.0"}
+	prev := catchmentOver(2, all...)
+	cur := catchmentOver(2, all...)
 	prev.Set(blk("10.0.0.0"), 0) // stays 0 -> stable
 	cur.Set(blk("10.0.0.0"), 0)
 	prev.Set(blk("10.0.1.0"), 0) // flips to 1

@@ -626,7 +626,7 @@ func sentAtNS(sendNS []int64, pos32 []uint32, id, ci int) int64 {
 // stats sum after the parallel region.
 func foldChunksSubset(chunks []probeChunk, hl *hitlist.Hitlist, sub *ipv4.BlockSet, pos32 []uint32, sendNS []int64, retries int, nSite int, roundID uint16, cutoff time.Duration, workers int) (*Catchment, CleanStats) {
 	ix := hl.Index()
-	catch := NewIndexedCatchment(nSite, ix)
+	catch := NewCatchment(nSite, ix)
 	if sendNS != nil {
 		catch.ensureRTTs()
 	}

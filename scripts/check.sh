@@ -127,8 +127,9 @@ echo "$got"
 
 # Internet-tier smoke: the columnar sweep core must map ~1.2M blocks
 # end to end (topology gen, convergence, sweep, fold, streaming v4
-# dataset save) inside a peak-RSS budget, and reproduce its golden
-# response-rate line exactly — the scale contract of DESIGN.md §12.
+# dataset save) inside a peak-RSS budget, reproduce its golden
+# response-rate line exactly, and read the saved file back through
+# vp-dataset info and diff — the scale contract of DESIGN.md §12.
 # Peak memory comes from /usr/bin/time -v where present, else from
 # polling /proc/<pid>/status VmHWM; if neither works the smoke still
 # runs, only the budget check is skipped.
@@ -177,7 +178,27 @@ if [ -n "${PEAK_KB:-}" ] && [ "$PEAK_KB" -gt 0 ]; then
 else
 	echo "$got (peak RSS unavailable, budget check skipped)"
 fi
-rm -f "$VPDS_TMP" /tmp/vp-check-bin
+# Read the file back: the resident reader must index all 602,667
+# entries and report the same response rate, and a self-diff must find
+# every block stable.
+go build -o /tmp/vp-check-dataset ./cmd/vp-dataset
+got=$(/tmp/vp-check-dataset info "$VPDS_TMP" | grep "^response rate:")
+if [ "$got" != "$want" ]; then
+	echo "internet read-back FAILED (info):" >&2
+	echo "  want: $want" >&2
+	echo "  got:  $got" >&2
+	exit 1
+fi
+want="stable blocks              602667"
+got=$(/tmp/vp-check-dataset diff "$VPDS_TMP" "$VPDS_TMP" | grep "^stable blocks")
+if [ "$got" != "$want" ]; then
+	echo "internet read-back FAILED (self-diff):" >&2
+	echo "  want: $want" >&2
+	echo "  got:  $got" >&2
+	exit 1
+fi
+echo "read-back OK (info response rate, self-diff $got)"
+rm -f "$VPDS_TMP" /tmp/vp-check-bin /tmp/vp-check-dataset
 
 # vp-server smoke: start the daemon on a loopback port with the same
 # fixed-seed tiny tenant the other smokes use, and pin the three read
