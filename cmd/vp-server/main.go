@@ -158,7 +158,7 @@ func main() {
 	}
 	fmt.Printf("listening on http://%s\n", ln.Addr())
 
-	httpSrv := &http.Server{Handler: sv.Handler()}
+	httpSrv := newHTTPServer(sv.Handler())
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- httpSrv.Serve(ln) }()
 
@@ -193,6 +193,25 @@ func main() {
 	}
 	cli.EmitObs(os.Stdout, reg, *metrics, *traceSp)
 	fmt.Printf("%s: clean shutdown\n", tool)
+}
+
+// Connection timeouts of the HTTP server. Without them a client that
+// never finishes its request headers, or an idle keep-alive connection,
+// holds a goroutine and a file descriptor forever. Lookups are small
+// GETs, so a header deadline of seconds is generous. There is no write
+// or whole-request timeout: a sweep request legitimately runs long.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer wraps the API handler in the daemon's http.Server.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 }
 
 // buildTenant turns one -tenant spec into a wired server.Tenant: the

@@ -19,6 +19,7 @@ package colstore
 
 import (
 	"fmt"
+	"math/bits"
 
 	"verfploeter/internal/ipv4"
 )
@@ -28,6 +29,12 @@ import (
 // index. Indexes are safe for concurrent readers.
 type Index struct {
 	blocks []ipv4.Block
+	// start is the bucket directory: bucket j holds the blocks whose top
+	// bits (b >> shift) equal j, at ids start[j]..start[j+1]-1. It has
+	// 2^k+1 entries for k = min(16, ceil(log2 n), bits of the max block),
+	// so it never exceeds 2n entries.
+	start []uint32
+	shift uint
 }
 
 // NewIndex builds an index over the given blocks. The slice must be
@@ -44,7 +51,28 @@ func NewIndex(blocks []ipv4.Block) *Index {
 				i, blocks[i-1], blocks[i]))
 		}
 	}
-	return &Index{blocks: blocks}
+	ix := &Index{blocks: blocks}
+	n := len(blocks)
+	if n == 0 {
+		return ix
+	}
+	// The span comes from the max block, not from 24 bits: blocks are
+	// plain uint32 values and callers may index any of them.
+	span := bits.Len32(uint32(blocks[n-1]))
+	k := min(16, bits.Len(uint(n-1)), span)
+	ix.shift = uint(span - k)
+	ix.start = make([]uint32, 1<<k+1)
+	bk := 0
+	for i, b := range blocks {
+		for top := int(uint32(b) >> ix.shift); bk < top; {
+			bk++
+			ix.start[bk] = uint32(i)
+		}
+	}
+	for bk++; bk < len(ix.start); bk++ {
+		ix.start[bk] = uint32(n)
+	}
+	return ix
 }
 
 // Len returns the number of indexed blocks.
@@ -68,13 +96,20 @@ func (ix *Index) Blocks() []ipv4.Block {
 }
 
 // Of returns the dense id of block b, or -1 when b is not indexed.
-// Branch-light binary search: ~log2(n) compares over contiguous memory,
-// no closure, no bounds surprises.
+// The bucket directory narrows b to the ids sharing its top bits. A
+// bucket holding every one of its 2^shift possible blocks (a whole /16
+// at the internet tier) answers by offset with no search; any other
+// bucket is binary-searched within its own bounds.
 func (ix *Index) Of(b ipv4.Block) int {
-	if ix == nil {
+	if ix == nil || len(ix.blocks) == 0 || b > ix.blocks[len(ix.blocks)-1] {
 		return -1
 	}
-	lo, hi := 0, len(ix.blocks)
+	bk := uint32(b) >> ix.shift
+	lo, end := int(ix.start[bk]), int(ix.start[bk+1])
+	if end-lo == 1<<ix.shift {
+		return lo + int(uint32(b)&(1<<ix.shift-1))
+	}
+	hi := end
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
 		if ix.blocks[mid] < b {
@@ -83,7 +118,7 @@ func (ix *Index) Of(b ipv4.Block) int {
 			hi = mid
 		}
 	}
-	if lo < len(ix.blocks) && ix.blocks[lo] == b {
+	if lo < end && ix.blocks[lo] == b {
 		return lo
 	}
 	return -1

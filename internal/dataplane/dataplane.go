@@ -325,13 +325,38 @@ func (n *Net) Round() uint32 { return n.round }
 // Stats returns a copy of the counters.
 func (n *Net) Stats() Stats { return n.stats }
 
+// coinKind names one impairment coin. A coin keys on its kind's name
+// folded into the seed byte by byte (h = h*fnvPrime + c); the fold is
+// affine in the seed, so each kind precomputes it as seed*mul + add,
+// equal to the byte fold mod 2^64, and a flip never walks the name.
+type coinKind struct{ mul, add uint64 }
+
+const fnvPrime = 1099511628211
+
+func newCoinKind(name string) coinKind {
+	k := coinKind{mul: 1}
+	for i := 0; i < len(name); i++ {
+		k.mul *= fnvPrime
+		k.add = k.add*fnvPrime + uint64(name[i])
+	}
+	return k
+}
+
+// The seven impairment coins.
+var (
+	kResp      = newCoinKind("resp")
+	kRespChurn = newCoinKind("resp-churn")
+	kAlias     = newCoinKind("alias")
+	kXAlias    = newCoinKind("xalias")
+	kLate      = newCoinKind("late")
+	kDup       = newCoinKind("dup")
+	kDupN      = newCoinKind("dupn")
+)
+
 // hash mixes identifiers into a uniform [0,1) float, the deterministic
 // coin every impairment flips.
-func (n *Net) hash(kind string, block ipv4.Block, round uint32) float64 {
-	h := n.cfg.Seed
-	for i := 0; i < len(kind); i++ {
-		h = h*1099511628211 + uint64(kind[i])
-	}
+func (n *Net) hash(kind coinKind, block ipv4.Block, round uint32) float64 {
+	h := n.cfg.Seed*kind.mul + kind.add
 	h ^= uint64(block) << 24
 	h ^= uint64(round)
 	h *= 0x9e3779b97f4a7c15
@@ -446,9 +471,9 @@ func (n *Net) sendEcho(originSite int, src, dst ipv4.Addr, ident, seq uint16, pa
 
 	// Source address: usually the probed address, sometimes an alias.
 	from := target
-	if n.hash("alias", binfo.Block, n.round) < n.cfg.Impair.AliasFrac {
+	if n.hash(kAlias, binfo.Block, n.round) < n.cfg.Impair.AliasFrac {
 		n.stats.Aliased++
-		if n.hash("xalias", binfo.Block, n.round) < n.cfg.Impair.CrossAlias && bi+1 < len(n.cfg.Top.Blocks) {
+		if n.hash(kXAlias, binfo.Block, n.round) < n.cfg.Impair.CrossAlias && bi+1 < len(n.cfg.Top.Blocks) {
 			from = n.cfg.Top.Blocks[bi+1].Block.Addr(uint8(target) & 0xff)
 		} else {
 			from = target.Block().Addr(uint8(target) + 101)
@@ -470,16 +495,16 @@ func (n *Net) sendEcho(originSite int, src, dst ipv4.Addr, ident, seq uint16, pa
 
 	// Latency: origin→target plus target→catchment-site legs.
 	delay := n.cfg.Impair.BaseRTT + n.replyDelay(asg, binfo, originSite, site)
-	if n.hash("late", binfo.Block, n.round) < n.cfg.Impair.LateFrac {
+	if n.hash(kLate, binfo.Block, n.round) < n.cfg.Impair.LateFrac {
 		n.stats.Late++
 		delay += n.cfg.Impair.LateDelay
 	}
 
 	copies := 1
-	if n.hash("dup", binfo.Block, n.round) < n.cfg.Impair.DupFrac {
+	if n.hash(kDup, binfo.Block, n.round) < n.cfg.Impair.DupFrac {
 		// Mostly one extra; occasionally a pathological repeater.
 		extra := 1
-		if r := n.hash("dupn", binfo.Block, n.round); r < 0.05 {
+		if r := n.hash(kDupN, binfo.Block, n.round); r < 0.05 {
 			extra = 2 + int(r*20*float64(n.cfg.Impair.DupMax))
 			if extra > n.cfg.Impair.DupMax {
 				extra = n.cfg.Impair.DupMax
@@ -580,8 +605,8 @@ const RespChurn = 0.013
 // a round-independent base state (probability = the block's Responsive
 // score) inverted with small per-round churn.
 func (n *Net) responds(binfo *topology.BlockInfo) bool {
-	base := n.hash("resp", binfo.Block, 0) < float64(binfo.Responsive)
-	if n.hash("resp-churn", binfo.Block, n.round) < RespChurn {
+	base := n.hash(kResp, binfo.Block, 0) < float64(binfo.Responsive)
+	if n.hash(kRespChurn, binfo.Block, n.round) < RespChurn {
 		return !base
 	}
 	return base

@@ -2,6 +2,8 @@ package dataplane
 
 import (
 	"errors"
+	"math"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -314,5 +316,48 @@ func TestTestPrefixRouting(t *testing.T) {
 	testFrac := float64(test[0]) / float64(test[0]+test[1])
 	if testFrac >= prodFrac {
 		t.Errorf("test prefix (LAX+3) share %.3f should be below production %.3f", testFrac, prodFrac)
+	}
+}
+
+// refHash is the historic coin: the kind's name folded into the seed
+// byte by byte on every call. hash must reproduce it bit for bit.
+func refHash(seed uint64, kind string, block ipv4.Block, round uint32) float64 {
+	h := seed
+	for i := 0; i < len(kind); i++ {
+		h = h*1099511628211 + uint64(kind[i])
+	}
+	h ^= uint64(block) << 24
+	h ^= uint64(round)
+	h *= 0x9e3779b97f4a7c15
+	h ^= h >> 29
+	h *= 0xbf58476d1ce4e5b9
+	h ^= h >> 32
+	return float64(h&0xfffffffffffff) / float64(1<<52)
+}
+
+// TestCoinKindsMatchStringHash pins every precomputed coin kind to the
+// string fold it replaces, over random seeds, blocks and rounds.
+func TestCoinKindsMatchStringHash(t *testing.T) {
+	kinds := []struct {
+		name string
+		kind coinKind
+	}{
+		{"resp", kResp}, {"resp-churn", kRespChurn}, {"alias", kAlias},
+		{"xalias", kXAlias}, {"late", kLate}, {"dup", kDup}, {"dupn", kDupN},
+	}
+	r := rand.New(rand.NewSource(1))
+	for i := 0; i < 2000; i++ {
+		seed := r.Uint64()
+		if i < 4 {
+			seed = uint64(i) // small seeds, as the scenarios use
+		}
+		n := &Net{cfg: Config{Seed: seed}}
+		block, round := ipv4.Block(r.Uint32()), r.Uint32()
+		for _, k := range kinds {
+			got, want := n.hash(k.kind, block, round), refHash(seed, k.name, block, round)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%s seed=%d block=%v round=%d: hash %v, string fold %v", k.name, seed, block, round, got, want)
+			}
+		}
 	}
 }

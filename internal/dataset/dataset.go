@@ -38,6 +38,12 @@ var magic = [4]byte{'V', 'P', 'D', 'S'}
 // missing stats zero); version 3 is the monitoring-series container.
 const version = 4
 
+// compressLevel is the deflate level of every writer (the v4 stream and
+// the v3 series). Level 2 deflates the internet-tier v4 payload (8.4 MB)
+// about 3x faster than the default level 6 for 0.74 % more bytes; the
+// format and readers do not depend on the level. See DESIGN.md.
+const compressLevel = 2
+
 // Writers emit the current version; readers accept these legacy ones.
 const (
 	versionV1 = 1
@@ -389,22 +395,28 @@ func Diff(a, b *Dataset) (DiffReport, error) {
 
 // --- primitive serialization helpers ---
 
+// spare returns w's spare capacity (AvailableBuffer) with room for n
+// more bytes, flushing first when the buffer is nearly full, so the
+// write helpers encode in place and never allocate: no scratch array
+// escapes and no append outgrows the buffer. A flush error sticks to w
+// and surfaces at the final Flush.
+func spare(w *bufio.Writer, n int) []byte {
+	if w.Available() < n {
+		w.Flush()
+	}
+	return w.AvailableBuffer()
+}
+
 func writeU16(w *bufio.Writer, v uint16) {
-	var b [2]byte
-	binary.BigEndian.PutUint16(b[:], v)
-	w.Write(b[:])
+	w.Write(binary.BigEndian.AppendUint16(spare(w, 2), v))
 }
 
 func writeU32(w *bufio.Writer, v uint32) {
-	var b [4]byte
-	binary.BigEndian.PutUint32(b[:], v)
-	w.Write(b[:])
+	w.Write(binary.BigEndian.AppendUint32(spare(w, 4), v))
 }
 
 func writeU64(w *bufio.Writer, v uint64) {
-	var b [8]byte
-	binary.BigEndian.PutUint64(b[:], v)
-	w.Write(b[:])
+	w.Write(binary.BigEndian.AppendUint64(spare(w, 8), v))
 }
 
 func writeString(w *bufio.Writer, s string) {

@@ -230,7 +230,7 @@ func WriteSeries(w io.Writer, s *Series) error {
 	if len(s.Meta.Sites) > MaxMetaSites {
 		return fmt.Errorf("%w: %d metadata sites (max %d)", ErrLimit, len(s.Meta.Sites), MaxMetaSites)
 	}
-	zw := gzip.NewWriter(w)
+	zw, _ := gzip.NewWriterLevel(w, compressLevel) // errors only on an invalid level
 	bw := bufio.NewWriter(zw)
 
 	bw.Write(magic[:])

@@ -55,7 +55,7 @@ func NewStreamWriter(w io.Writer, meta Meta, stats verfploeter.Stats, nSite, n i
 	if n < 0 || n > MaxEntries {
 		return nil, fmt.Errorf("%w: %d entries (max %d)", ErrLimit, n, MaxEntries)
 	}
-	zw := gzip.NewWriter(w)
+	zw, _ := gzip.NewWriterLevel(w, compressLevel) // errors only on an invalid level
 	bw := bufio.NewWriter(zw)
 
 	bw.Write(magic[:])

@@ -353,3 +353,68 @@ func TestUpgradeSeriesEpochToV4(t *testing.T) {
 		catchmentsExactlyEqual(t, c, got.Catchment)
 	}
 }
+
+// TestStreamWriterAppendAllocs gates the v4 writer's per-entry cost:
+// Append encodes into the bufio.Writer's spare capacity and the deflater
+// reuses its window, so an entry allocates nothing. An internet-tier
+// sweep writes ~600 k entries, so one escaping scratch array per field
+// would cost 1.8 M allocations a round.
+func TestStreamWriterAppendAllocs(t *testing.T) {
+	const runs = 2000
+	sw, err := NewStreamWriter(io.Discard, Meta{ID: "ALLOCS"}, verfploeter.Stats{}, 4, runs+1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := ipv4.Block(0x010000)
+	allocs := testing.AllocsPerRun(runs, func() {
+		b++
+		if err := sw.Append(b, int(b)%4, time.Duration(b)*time.Microsecond); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("StreamWriter.Append: %v allocs per entry, want 0", allocs)
+	}
+	if err := sw.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSeriesEntryWriterAllocs gates the v3 series' entry writer (the
+// baseline and every epoch's deltas) the same way.
+func TestSeriesEntryWriterAllocs(t *testing.T) {
+	zw, _ := gzip.NewWriterLevel(io.Discard, compressLevel)
+	bw := bufio.NewWriter(zw)
+	ds := make([]Delta, 512)
+	for i := range ds {
+		ds[i] = Delta{Block: ipv4.Block(0x010000 + i), Site: int16(i % 4), RTT: time.Duration(i) * time.Millisecond}
+	}
+	allocs := testing.AllocsPerRun(50, func() {
+		if err := writeDeltas(bw, ds); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("writeDeltas: %v allocs per %d entries, want 0", allocs, len(ds))
+	}
+}
+
+// BenchmarkStreamWriterAppend measures one v4 entry through the whole
+// writer: encode, buffer and deflate at compressLevel.
+func BenchmarkStreamWriterAppend(b *testing.B) {
+	sw, err := NewStreamWriter(io.Discard, Meta{ID: "BENCH"}, verfploeter.Stats{}, 16, b.N)
+	if err != nil {
+		b.Fatal(err)
+	}
+	r := rand.New(rand.NewSource(1))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := sw.Append(ipv4.Block(i), r.Intn(16), time.Duration(r.Int63n(int64(300*time.Millisecond)))); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := sw.Close(); err != nil {
+		b.Fatal(err)
+	}
+}

@@ -133,9 +133,9 @@ func (t *Topology) ASByASN(asn uint32) *AS {
 
 // BlockIndex returns the index of b in Blocks, or -1 if the block is not
 // part of the generated Internet. It is the dataplane's per-probe
-// lookup; the index is a dense sorted column (binary search, no per-
-// block map entries), which at the internet tier saves hundreds of
-// megabytes over a hash map and keeps the lookup cache-friendly.
+// lookup; the index is a dense sorted column plus a bucket directory
+// (O(1) inside a full /16, no per-block map entries), which at the
+// internet tier saves hundreds of megabytes over a hash map.
 func (t *Topology) BlockIndex(b ipv4.Block) int {
 	return t.blockIdx.Of(b)
 }

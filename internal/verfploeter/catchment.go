@@ -22,7 +22,7 @@ package verfploeter
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"verfploeter/internal/colstore"
@@ -136,7 +136,7 @@ func (c *Catchment) MedianRTT() time.Duration {
 			v = append(v, time.Duration(ns))
 		}
 	}
-	sort.Slice(v, func(i, j int) bool { return v[i] < v[j] })
+	slices.Sort(v)
 	return v[len(v)/2]
 }
 

@@ -1,9 +1,10 @@
 package verfploeter
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"verfploeter/internal/dataplane"
@@ -211,14 +212,20 @@ func Run(cfg Config) (*Catchment, Stats, error) {
 	perm := rng.NewPermutation(rng.New(cfg.Seed).Derive("probe-order"), n)
 
 	// Columnar sweep state, indexed by the hitlist's dense block id
-	// (entry order == ascending block order == columnar id). pos32 maps
-	// id → full-permutation position (the base of sequence-number
-	// arithmetic); sendNS maps id → last probe send time in ns (-1 =
-	// never probed). Chunks probe disjoint permutation positions, hence
-	// disjoint ids, so they write sendNS without locks or merges.
+	// (entry order == ascending block order == columnar id). order maps
+	// permutation position → id, so the sweep evaluates the permutation
+	// once per target here rather than again per send; pos32 is its
+	// inverse, id → full-permutation position (the base of
+	// sequence-number arithmetic); sendNS maps id → last probe send time
+	// in ns (-1 = never probed). Chunks probe disjoint permutation
+	// positions, hence disjoint ids, so they write sendNS without locks
+	// or merges.
+	order := make([]uint32, n)
 	pos32 := make([]uint32, n)
 	for i := 0; i < n; i++ {
-		pos32[perm.Index(i)] = uint32(i)
+		id := perm.Index(i)
+		order[i] = uint32(id)
+		pos32[id] = uint32(i)
 	}
 	sendNS := make([]int64, n)
 	for i := range sendNS {
@@ -259,20 +266,18 @@ func Run(cfg Config) (*Catchment, Stats, error) {
 			}
 			ch.replies = append(ch.replies, Reply{Site: site, At: at, Src: from, Ident: ident, Seq: seq})
 		})
-		sp := cfg.span(perm, lo, hi)
+		sp := cfg.span(order, lo, hi)
 		ch.stats.Targets = sp.count()
-		if cap(ch.replies) == 0 {
-			ch.replies = make([]Reply, 0, sp.count())
-		}
-		ch.err = sweep(net, clock, &cfg, perm, sp, sendNS, &ch.stats)
+		ch.replies = make([]Reply, 0, sp.count())
+		ch.err = sweep(net, clock, &cfg, order, sp, sendNS, &ch.stats)
 		if ch.err == nil && cfg.Retries > 0 {
-			ch.err = retryMissing(net, clock, &cfg, perm, sp, ch, pos32, sendNS)
+			ch.err = retryMissing(net, clock, &cfg, order, sp, ch, pos32, sendNS)
 		}
 		// Drain the schedule; the sink already holds every reply
 		// (including deliberately late ones — the cleaner applies the
 		// cutoff on capture timestamps), so only pacing events remain.
 		clock.RunUntilIdle()
-		sort.SliceStable(ch.replies, func(i, j int) bool { return ch.replies[i].At < ch.replies[j].At })
+		slices.SortStableFunc(ch.replies, func(a, b Reply) int { return cmp.Compare(a.At, b.At) })
 		ch.end = clock.Now()
 		if ch.maxAt > ch.end {
 			ch.end = ch.maxAt
@@ -336,7 +341,7 @@ func chunkOffset(lo int, rate float64) time.Duration {
 // do. The retry pass runs entirely inside the chunk's fork, so output
 // stays byte-identical at any worker count.
 func retryMissing(net *dataplane.Net, clock *vclock.Clock, cfg *Config,
-	perm *rng.Permutation, sp chunkSpan, ch *probeChunk, pos32 []uint32, sendNS []int64) error {
+	order []uint32, sp chunkSpan, ch *probeChunk, pos32 []uint32, sendNS []int64) error {
 
 	ix := cfg.Hitlist.Index()
 	backoff := cfg.RetryBackoff
@@ -378,7 +383,7 @@ func retryMissing(net *dataplane.Net, clock *vclock.Clock, cfg *Config,
 		seqOff := uint16(attempt) * retrySeqStride
 		err := pacedSend(net, clock, cfg, len(missing), func(k int) (int, ipv4.Addr, uint16) {
 			i := missing[k]
-			id := perm.Index(i)
+			id := int(order[i])
 			return id, cfg.Hitlist.Entries[id].Addr, uint16(i) + seqOff
 		}, sendNS, &ch.stats)
 		ch.stats.Retried += len(missing)
@@ -434,14 +439,14 @@ func (sp chunkSpan) pos(k int) int {
 
 // span materializes the chunk's probe positions under the configured
 // subset (all of [lo, hi) when Subset is nil).
-func (cfg *Config) span(perm *rng.Permutation, lo, hi int) chunkSpan {
+func (cfg *Config) span(order []uint32, lo, hi int) chunkSpan {
 	sp := chunkSpan{lo: lo, hi: hi}
 	if cfg.Subset == nil {
 		return sp
 	}
 	sp.incl = make([]int, 0, hi-lo)
 	for i := lo; i < hi; i++ {
-		if cfg.Subset.Contains(cfg.Hitlist.Entries[perm.Index(i)].Addr.Block()) {
+		if cfg.Subset.Contains(cfg.Hitlist.Entries[order[i]].Addr.Block()) {
 			sp.incl = append(sp.incl, i)
 		}
 	}
@@ -453,12 +458,12 @@ func (cfg *Config) span(perm *rng.Permutation, lo, hi int) chunkSpan {
 // (SendEcho) — nothing downstream reads wire bytes, so the per-probe
 // marshal/parse pair would be pure allocation.
 func sweep(net *dataplane.Net, clock *vclock.Clock, cfg *Config,
-	perm *rng.Permutation, sp chunkSpan,
+	order []uint32, sp chunkSpan,
 	sendNS []int64, stats *Stats) error {
 
 	return pacedSend(net, clock, cfg, sp.count(), func(k int) (int, ipv4.Addr, uint16) {
 		i := sp.pos(k)
-		id := perm.Index(i)
+		id := int(order[i])
 		return id, cfg.Hitlist.Entries[id].Addr, uint16(i)
 	}, sendNS, stats)
 }
