@@ -39,7 +39,6 @@ package monitor
 import (
 	"fmt"
 	"math"
-	"sort"
 	"time"
 
 	"verfploeter/internal/bgp"
@@ -173,11 +172,15 @@ type EpochResult struct {
 	Epoch int
 	Map   *verfploeter.Catchment
 	// Probes actually sent (sample + escalation + retries); Sampled the
-	// sample sweep's target count; EscalatedStrata how many strata
-	// escalated to a full re-probe (0 in full mode).
-	Probes          int
-	Sampled         int
-	EscalatedStrata int
+	// sample's size (the alias sources measured beside it are not
+	// counted); EscalatedStrata how many strata
+	// escalated to a full re-probe (0 in full mode); WastedEscalations
+	// how many of those re-probes changed no carried entry — escalations
+	// a stable epoch should never pay for.
+	Probes            int
+	Sampled           int
+	EscalatedStrata   int
+	WastedEscalations int
 	// Prediction accounting (zero unless Config.Predict):
 	// PredictSkippedStrata counts strata that received no probes at all
 	// this epoch (predicted stable at high confidence); PredictHits
@@ -347,6 +350,7 @@ func (ss *Session) Step() (EpochResult, error) {
 		s.Obs.Counter("monitor_epochs", "monitoring epochs completed").Inc()
 		s.Obs.Counter("monitor_events", "drift events the monitor classified").AddInt(len(er.Events))
 		s.Obs.Counter("monitor_escalated_strata", "strata escalated to a full re-probe").AddInt(er.EscalatedStrata)
+		s.Obs.Counter("monitor_wasted_escalations", "escalated strata whose re-probe changed nothing").AddInt(er.WastedEscalations)
 		if cfg.Predict {
 			s.Obs.Counter("predict_hits", "re-observed changes the predictor called").AddInt(er.PredictHits)
 			s.Obs.Counter("predict_misses", "re-observed changes the predictor declared stable").AddInt(er.PredictMisses)
@@ -390,11 +394,11 @@ func sampleEpoch(s *scenario.Scenario, cfg Config, st *strata,
 	prev *verfploeter.Catchment, er *EpochResult) (*verfploeter.Catchment, verfploeter.Stats, error) {
 
 	sample := st.sampleSet(er.Epoch, cfg.Sample, s.Seed)
-	obs, stats, err := s.MeasureSubset(cfg.RoundID, sample)
+	obs, stats, err := s.MeasureSubset(cfg.RoundID, st.withAliasSources(sample, prev))
 	if err != nil {
 		return nil, stats, err
 	}
-	er.Probes, er.Sampled = stats.Sent, stats.Targets
+	er.Probes, er.Sampled = stats.Sent, sample.Len()
 
 	escalated, drifted := driftedStrata(prev, obs, sample, st)
 	if siteAnomaly(prev, obs, sample) ||
@@ -409,9 +413,9 @@ func sampleEpoch(s *scenario.Scenario, cfg Config, st *strata,
 		escalated = allStrata(st.n)
 		s.Obs.Counter("monitor_global_escalations", "epochs escalated to a full re-sweep").Inc()
 	}
-	er.EscalatedStrata = len(escalated)
+	er.EscalatedStrata = countTrue(escalated)
 	cur := prev.Clone()
-	if _, err := stitchEscalated(s, cfg, st, cur, escalated, er); err != nil {
+	if err := stitchEscalated(s, cfg, st, cur, escalated, er); err != nil {
 		return nil, stats, err
 	}
 	return cur, stats, nil
@@ -420,40 +424,56 @@ func sampleEpoch(s *scenario.Scenario, cfg Config, st *strata,
 // stitchEscalated re-probes every block of the escalated strata (plus
 // topology predecessors, for the cross-block alias rule) and stitches
 // the fresh observations into cur in place; un-escalated entries carry
-// over untouched. Returns the escalated block set (nil when no stratum
-// escalated) so callers can tell re-observed blocks from carried ones.
+// over untouched. Escalated strata whose fresh observations equal their
+// carried entries are counted in er.WastedEscalations.
 func stitchEscalated(s *scenario.Scenario, cfg Config, st *strata,
-	cur *verfploeter.Catchment, escalated map[int]bool, er *EpochResult) (*ipv4.BlockSet, error) {
+	cur *verfploeter.Catchment, escalated []bool, er *EpochResult) error {
 
-	if len(escalated) == 0 {
-		return nil, nil
+	if countTrue(escalated) == 0 {
+		return nil
 	}
-	// A cross-block aliased reply can only come from the block's
-	// topology predecessor (see dataplane), so probing the
-	// predecessors too reproduces the full sweep's per-block
-	// observations exactly; their own entries are dropped in the
-	// stitch.
-	escSet := st.blocksOf(escalated)
-	full, fstats, err := s.MeasureSubset(cfg.RoundID, st.withPredecessors(escSet))
+	full, fstats, err := s.MeasureSubset(cfg.RoundID, st.escalationSet(escalated))
 	if err != nil {
-		return nil, err
+		return err
 	}
 	er.Probes += fstats.Sent
 	// Stitch: escalated strata take the fresh observation wholesale
-	// (including blocks that went silent), the rest carries over.
-	escSet.Range(func(b ipv4.Block) bool {
-		cur.Delete(b)
-		return true
-	})
-	full.Range(func(b ipv4.Block, site int) bool {
-		if !escSet.Contains(b) {
-			return true
+	// (including blocks that went silent), the rest carries over. The
+	// predecessors' own observations are not stitched.
+	for stratum, esc := range escalated {
+		if !esc {
+			continue
 		}
-		rtt, _ := full.RTTOf(b)
-		cur.Reassign(b, site, rtt)
-		return true
-	})
-	return escSet, nil
+		changed := false
+		for _, b := range st.blocks[stratum] {
+			fs, fok := full.SiteOf(b)
+			frt, _ := full.RTTOf(b)
+			if sameEntry(cur, b, fs, fok, frt) {
+				continue
+			}
+			changed = true
+			if fok {
+				cur.Reassign(b, fs, frt)
+			} else {
+				cur.Delete(b)
+			}
+		}
+		if !changed {
+			er.WastedEscalations++
+		}
+	}
+	return nil
+}
+
+// sameEntry reports whether c's entry for b is exactly (site, rtt), or
+// absent when !ok.
+func sameEntry(c *verfploeter.Catchment, b ipv4.Block, site int, ok bool, rtt time.Duration) bool {
+	cs, cok := c.SiteOf(b)
+	if cok != ok || cs != site {
+		return false
+	}
+	crt, _ := c.RTTOf(b)
+	return crt == rtt
 }
 
 // applyActions runs the operator schedule for epoch e, reporting which
@@ -652,44 +672,109 @@ func (st *strata) stratumOf(b ipv4.Block) (int, bool) {
 	return st.byAS[st.top.Blocks[i].ASIdx], true
 }
 
-// withPredecessors returns sub extended with each member's topology
-// predecessor — the only block whose probe can alias a reply into it
-// (dataplane's cross-alias rule), so partial sweeps probing both keep
-// per-block observations identical to a full sweep. sub itself is not
-// modified.
-func (st *strata) withPredecessors(sub *ipv4.BlockSet) *ipv4.BlockSet {
-	out := ipv4.NewBlockSet(sub.Len() + sub.Len()/4)
-	sub.Range(func(b ipv4.Block) bool {
-		out.Add(b)
-		if i := st.top.BlockIndex(b); i > 0 {
-			out.Add(st.top.Blocks[i-1].Block)
+// predecessor returns b's topology predecessor — the only block whose
+// probe can alias a reply into b (dataplane's cross-alias rule).
+func (st *strata) predecessor(b ipv4.Block) (ipv4.Block, bool) {
+	if i := st.top.BlockIndex(b); i > 0 {
+		return st.top.Blocks[i-1].Block, true
+	}
+	return 0, false
+}
+
+// escalationSet returns every block of the escalated strata plus each
+// one's topology predecessor, so the partial sweep observes each
+// escalated block exactly as a full sweep would.
+func (st *strata) escalationSet(escalated []bool) *ipv4.BlockSet {
+	n := 0
+	for stratum, esc := range escalated {
+		if esc {
+			n += len(st.blocks[stratum])
+		}
+	}
+	out := ipv4.NewBlockSet(n + n/4)
+	for stratum, esc := range escalated {
+		if !esc {
+			continue
+		}
+		for _, b := range st.blocks[stratum] {
+			out.Add(b)
+			if p, ok := st.predecessor(b); ok {
+				out.Add(p)
+			}
+		}
+	}
+	return out
+}
+
+// withAliasSources returns the set a sample is measured with: the
+// sample plus the predecessor of every sampled block whose carried
+// entry has a site but no RTT. Only a sequence-matched echo carries an
+// RTT (verfploeter's fold), so such an entry was won by a cross-block
+// alias, which only the predecessor's probe produces; without that
+// probe the block would read as gone and escalate its stratum for
+// nothing. Blocks that carried an echo, or nothing, observe the same
+// with or without their predecessor, so they add no probes. A carried
+// map with no RTTs at all gets every mapped block's predecessor — more
+// probes, same verdicts. The sample itself is not modified.
+func (st *strata) withAliasSources(sample *ipv4.BlockSet, prev *verfploeter.Catchment) *ipv4.BlockSet {
+	var extra []ipv4.Block
+	sample.Range(func(b ipv4.Block) bool {
+		if _, mapped := prev.SiteOf(b); mapped {
+			if _, echo := prev.RTTOf(b); !echo {
+				if p, ok := st.predecessor(b); ok {
+					extra = append(extra, p)
+				}
+			}
 		}
 		return true
 	})
+	if len(extra) == 0 {
+		return sample
+	}
+	out := ipv4.NewBlockSet(sample.Len() + len(extra))
+	out.Union(sample)
+	for _, p := range extra {
+		out.Add(p)
+	}
 	return out
+}
+
+// ranked is one block with its per-epoch sample rank: ordered by hash,
+// ties broken by block.
+type ranked struct {
+	h uint64
+	b ipv4.Block
+}
+
+func (r ranked) less(o ranked) bool {
+	return r.h < o.h || r.h == o.h && r.b < o.b
 }
 
 // sampleSet picks each AS's deterministic sample for the epoch:
 // max(1, ceil(rate·|blocks|)) blocks, ranked by a per-epoch hash so the
 // sample rotates across epochs — a flip missed this epoch (because a
 // multi-PoP AS drifted only partially) meets a different sample next
-// epoch.
+// epoch. Only the set of each AS's k lowest ranks matters, so it is
+// selected in place rather than sorted.
 func (st *strata) sampleSet(epoch int, rate float64, seed uint64) *ipv4.BlockSet {
-	out := ipv4.NewBlockSet(64)
-	type ranked struct {
-		b ipv4.Block
-		h uint64
+	quota := func(blocks []ipv4.Block) int {
+		return min(len(blocks), max(1, int(math.Ceil(rate*float64(len(blocks))))))
 	}
+	n := 0
+	for _, blocks := range st.perAS {
+		if len(blocks) > 0 {
+			n += quota(blocks)
+		}
+	}
+	out := ipv4.NewBlockSet(n)
+	key := seed ^ uint64(epoch)*0x9e3779b97f4a7c15
 	var scratch []ranked
 	for _, blocks := range st.perAS {
 		if len(blocks) == 0 {
 			continue
 		}
-		k := int(math.Ceil(rate * float64(len(blocks))))
-		if k < 1 {
-			k = 1
-		}
-		if k >= len(blocks) {
+		k := quota(blocks)
+		if k == len(blocks) {
 			for _, b := range blocks {
 				out.Add(b)
 			}
@@ -697,30 +782,50 @@ func (st *strata) sampleSet(epoch int, rate float64, seed uint64) *ipv4.BlockSet
 		}
 		scratch = scratch[:0]
 		for _, b := range blocks {
-			scratch = append(scratch, ranked{b, mix64(seed^uint64(epoch)*0x9e3779b97f4a7c15, uint64(b))})
+			scratch = append(scratch, ranked{mix64(key, uint64(b)), b})
 		}
-		sort.Slice(scratch, func(i, j int) bool {
-			if scratch[i].h != scratch[j].h {
-				return scratch[i].h < scratch[j].h
-			}
-			return scratch[i].b < scratch[j].b
-		})
-		for i := 0; i < k; i++ {
-			out.Add(scratch[i].b)
+		selectSmallest(scratch, k)
+		for _, r := range scratch[:k] {
+			out.Add(r.b)
 		}
 	}
 	return out
 }
 
-// blocksOf returns every block of the given strata as a subset.
-func (st *strata) blocksOf(which map[int]bool) *ipv4.BlockSet {
-	out := ipv4.NewBlockSet(256)
-	for stratum := range which {
-		for _, b := range st.blocks[stratum] {
-			out.Add(b)
+// selectSmallest reorders r so that r[:k] holds its k smallest elements
+// (in no particular order), 0 < k <= len(r): Hoare quickselect on the
+// middle element. Ranks are hashes, so the middle pivot is as good as a
+// random one. A typed slices.SortFunc on the same key makes an
+// internet-tier monitor epoch ~60 % slower (2-vCPU Xeon VM).
+func selectSmallest(r []ranked, k int) {
+	t := k - 1
+	lo, hi := 0, len(r)-1
+	for lo < hi {
+		p := r[lo+(hi-lo)/2]
+		i, j := lo, hi
+		for i <= j {
+			for r[i].less(p) {
+				i++
+			}
+			for p.less(r[j]) {
+				j--
+			}
+			if i <= j {
+				r[i], r[j] = r[j], r[i]
+				i++
+				j--
+			}
+		}
+		// r[lo..j] <= p <= r[i..hi], and anything between equals p.
+		switch {
+		case t <= j:
+			hi = j
+		case t >= i:
+			lo = i
+		default:
+			return
 		}
 	}
-	return out
 }
 
 // driftedStrata compares the sampled observation against the carried
@@ -729,19 +834,13 @@ func (st *strata) blocksOf(which map[int]bool) *ipv4.BlockSet {
 // leg changes every RTT without flipping sites; byte-identity to full
 // mode requires catching that too. The second return value counts the
 // drifted sampled blocks, for the global-drift trigger.
-func driftedStrata(prev, obs *verfploeter.Catchment, sample *ipv4.BlockSet, st *strata) (map[int]bool, int) {
-	esc := make(map[int]bool)
+func driftedStrata(prev, obs *verfploeter.Catchment, sample *ipv4.BlockSet, st *strata) ([]bool, int) {
+	esc := make([]bool, st.n)
 	n := 0
 	sample.Range(func(b ipv4.Block) bool {
-		ps, pok := prev.SiteOf(b)
 		os, ook := obs.SiteOf(b)
-		drifted := pok != ook || ps != os
-		if !drifted && pok {
-			pr, _ := prev.RTTOf(b)
-			or, _ := obs.RTTOf(b)
-			drifted = pr != or
-		}
-		if drifted {
+		ort, _ := obs.RTTOf(b)
+		if !sameEntry(prev, b, os, ook, ort) {
 			n++
 			if stratum, ok := st.stratumOf(b); ok {
 				esc[stratum] = true
@@ -771,12 +870,22 @@ func siteAnomaly(prev, obs *verfploeter.Catchment, sample *ipv4.BlockSet) bool {
 }
 
 // allStrata marks every stratum for escalation.
-func allStrata(n int) map[int]bool {
-	out := make(map[int]bool, n)
-	for i := 0; i < n; i++ {
+func allStrata(n int) []bool {
+	out := make([]bool, n)
+	for i := range out {
 		out[i] = true
 	}
 	return out
+}
+
+func countTrue(v []bool) int {
+	n := 0
+	for _, t := range v {
+		if t {
+			n++
+		}
+	}
+	return n
 }
 
 // --- small helpers ----------------------------------------------------
@@ -821,11 +930,4 @@ func absInt(v int) int {
 		return -v
 	}
 	return v
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

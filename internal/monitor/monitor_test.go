@@ -10,6 +10,7 @@ import (
 	"verfploeter/internal/faults"
 	"verfploeter/internal/scenario"
 	"verfploeter/internal/topology"
+	"verfploeter/internal/verfploeter"
 )
 
 // driftWorld builds the shared test deployment: B-Root (two sites) with
@@ -290,5 +291,98 @@ func TestMonitorGolden(t *testing.T) {
 	t.Logf("sampled: %s", line(sampled))
 	if fl, sl := line(full), line(sampled); strings.Split(fl, " probes")[0] != strings.Split(sl, " probes")[0] {
 		t.Errorf("full and sampled disagree on events/flips: %q vs %q", fl, sl)
+	}
+}
+
+// TestStableEpochsEscalateNothing is the alias false alarm's regression
+// test: on a medium-tier world with no routing change, no epoch after
+// the baseline may escalate a stratum, raise an event, or move the map,
+// sampled or predicted. A sampled block whose carried entry was won by
+// a cross-block alias must be measured with its topology predecessor,
+// or it reads as gone and its stratum escalates for nothing.
+func TestStableEpochsEscalateNothing(t *testing.T) {
+	for _, seed := range []uint64{1, 3, 7} {
+		for _, predict := range []bool{false, true} {
+			t.Run(fmt.Sprintf("seed=%d/predict=%v", seed, predict), func(t *testing.T) {
+				s := scenario.BRoot(topology.SizeMedium, seed)
+				cfg := Config{Epochs: 4, Sample: 0.125, Predict: predict}
+				res, err := Run(s, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				st := buildStrata(s, cfg.fill().Strata)
+				if len(res.Events) != 0 {
+					t.Errorf("stable run raised events:\n%s", eventString(res.Events))
+				}
+				for _, er := range res.Epochs[1:] {
+					if er.EscalatedStrata != 0 || er.WastedEscalations != 0 {
+						t.Errorf("epoch %d escalated %d strata (%d wasted)",
+							er.Epoch, er.EscalatedStrata, er.WastedEscalations)
+					}
+					if !er.Map.Equal(res.Epochs[0].Map) {
+						t.Errorf("epoch %d map differs from the baseline", er.Epoch)
+					}
+					// Sampled counts the sample, not the alias sources
+					// measured beside it (predict mode probes a subset).
+					sample := st.sampleSet(er.Epoch, cfg.Sample, s.Seed).Len()
+					if er.Sampled > sample || !predict && er.Sampled != sample {
+						t.Errorf("epoch %d: Sampled %d, sample holds %d blocks", er.Epoch, er.Sampled, sample)
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestWastedEscalations: a stratum re-probe counts as wasted exactly
+// when it changes no carried entry, and the stitch still reproduces the
+// full sweep. Escalating every stratum of an unchanged world wastes all
+// of them; after a prepend, only the strata holding no changed block.
+func TestWastedEscalations(t *testing.T) {
+	s := scenario.BRoot(topology.SizeTiny, 7)
+	cfg := Config{}.fill()
+	st := buildStrata(s, cfg.Strata)
+	base, _, err := s.MeasureSubset(cfg.RoundID, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stitchAll := func() (*verfploeter.Catchment, EpochResult) {
+		var er EpochResult
+		cur := base.Clone()
+		if err := stitchEscalated(s, cfg, st, cur, allStrata(st.n), &er); err != nil {
+			t.Fatal(err)
+		}
+		return cur, er
+	}
+
+	cur, er := stitchAll()
+	if er.WastedEscalations != st.n || !cur.Equal(base) {
+		t.Errorf("unchanged world: %d of %d strata wasted, map equal %v",
+			er.WastedEscalations, st.n, cur.Equal(base))
+	}
+
+	s.ReannounceFull([]int{3, 0}, nil, s.RoutingEpoch())
+	want, _, err := s.MeasureSubset(cfg.RoundID, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	unchanged := 0
+	for _, blocks := range st.blocks {
+		moved := false
+		for _, b := range blocks {
+			ws, wok := want.SiteOf(b)
+			wrt, _ := want.RTTOf(b)
+			moved = moved || !sameEntry(base, b, ws, wok, wrt)
+		}
+		if !moved {
+			unchanged++
+		}
+	}
+	cur, er = stitchAll()
+	if !cur.Equal(want) {
+		t.Error("stitch after a prepend differs from the full sweep")
+	}
+	if unchanged == 0 || unchanged == st.n || er.WastedEscalations != unchanged {
+		t.Errorf("after a prepend: %d strata wasted, want %d of %d", er.WastedEscalations, unchanged, st.n)
 	}
 }

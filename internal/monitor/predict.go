@@ -43,7 +43,7 @@ func (ss *Session) predictEpoch(er *EpochResult) (*verfploeter.Catchment, error)
 	}
 
 	// Strata touching the predicted flip set escalate outright.
-	affected := make(map[int]bool)
+	affected := make([]bool, st.n)
 	pr.Affected.Range(func(b ipv4.Block) bool {
 		if stratum, ok := st.stratumOf(b); ok {
 			affected[stratum] = true
@@ -54,11 +54,9 @@ func (ss *Session) predictEpoch(er *EpochResult) (*verfploeter.Catchment, error)
 	// Canary rotation: these strata keep their full rotating sample this
 	// epoch regardless of confidence, bounding misprediction-detection
 	// latency to PredictRefresh epochs.
-	canary := make(map[int]bool)
-	for stratum := 0; stratum < st.n; stratum++ {
-		if (er.Epoch+stratum)%cfg.PredictRefresh == 0 {
-			canary[stratum] = true
-		}
+	canary := make([]bool, st.n)
+	for stratum := range canary {
+		canary[stratum] = (er.Epoch+stratum)%cfg.PredictRefresh == 0
 	}
 
 	// The probe set is block-granular: of the epoch's ordinary rotating
@@ -67,30 +65,25 @@ func (ss *Session) predictEpoch(er *EpochResult) (*verfploeter.Catchment, error)
 	// subsumes the sample). High-confidence blocks elsewhere are covered
 	// by the exactness contract and receive no probes at all.
 	sample := st.sampleSet(er.Epoch, cfg.Sample, s.Seed)
-	probed := ipv4.NewBlockSet(64)
-	probedStrata := make(map[int]bool)
-	for i := range s.Top.Blocks {
-		b := s.Top.Blocks[i].Block
-		if !sample.Contains(b) {
-			continue
-		}
-		stratum := st.byAS[s.Top.Blocks[i].ASIdx]
-		if affected[stratum] {
-			continue
-		}
-		if canary[stratum] || pr.LowConfidence(i) {
+	probed := ipv4.NewBlockSet(sample.Len())
+	probedStrata := make([]bool, st.n)
+	sample.Range(func(b ipv4.Block) bool {
+		i := st.top.BlockIndex(b)
+		stratum := st.byAS[st.top.Blocks[i].ASIdx]
+		if !affected[stratum] && (canary[stratum] || pr.LowConfidence(i)) {
 			probed.Add(b)
 			probedStrata[stratum] = true
 		}
-	}
+		return true
+	})
 	var obs *verfploeter.Catchment
 	if probed.Len() > 0 {
-		o, stats, err := s.MeasureSubset(cfg.RoundID, probed)
+		o, stats, err := s.MeasureSubset(cfg.RoundID, st.withAliasSources(probed, prev))
 		if err != nil {
 			return nil, err
 		}
 		obs = o
-		er.Probes, er.Sampled = stats.Sent, stats.Targets
+		er.Probes, er.Sampled = stats.Sent, probed.Len()
 	}
 
 	// Escalation: predicted-affected strata unconditionally; sampled
@@ -98,14 +91,13 @@ func (ss *Session) predictEpoch(er *EpochResult) (*verfploeter.Catchment, error)
 	// global triggers (site anomaly, drift fraction) still force a full
 	// re-sweep — they are the self-heal path for large out-of-band
 	// events.
-	escalated := make(map[int]bool, len(affected))
-	for stratum := range affected {
-		escalated[stratum] = true
-	}
+	escalated := affected // affected is not read again; extend it in place
 	if obs != nil {
 		esc, drifted := driftedStrata(prev, obs, probed, st)
-		for stratum := range esc {
-			escalated[stratum] = true
+		for stratum, d := range esc {
+			if d {
+				escalated[stratum] = true
+			}
 		}
 		if siteAnomaly(prev, obs, probed) ||
 			float64(drifted) >= cfg.GlobalDrift*float64(max(1, probed.Len())) {
@@ -113,16 +105,15 @@ func (ss *Session) predictEpoch(er *EpochResult) (*verfploeter.Catchment, error)
 			s.Obs.Counter("monitor_global_escalations", "epochs escalated to a full re-sweep").Inc()
 		}
 	}
-	er.EscalatedStrata = len(escalated)
-	for stratum := 0; stratum < st.n; stratum++ {
+	er.EscalatedStrata = countTrue(escalated)
+	for stratum := range escalated {
 		if !escalated[stratum] && !probedStrata[stratum] {
 			er.PredictSkippedStrata++
 		}
 	}
 
 	cur := prev.Clone()
-	escSet, err := stitchEscalated(s, cfg, st, cur, escalated, er)
-	if err != nil {
+	if err := stitchEscalated(s, cfg, st, cur, escalated, er); err != nil {
 		return nil, err
 	}
 
@@ -132,15 +123,9 @@ func (ss *Session) predictEpoch(er *EpochResult) (*verfploeter.Catchment, error)
 	// unchanged in cur, so iterating the re-observed blocks covers every
 	// prev→cur difference.
 	score := func(b ipv4.Block, fresh *verfploeter.Catchment) {
-		ps, pok := prev.SiteOf(b)
-		cs, cok := fresh.SiteOf(b)
-		changed := pok != cok || ps != cs
-		if !changed && pok {
-			prt, _ := prev.RTTOf(b)
-			crt, _ := fresh.RTTOf(b)
-			changed = prt != crt
-		}
-		if !changed {
+		fs, fok := fresh.SiteOf(b)
+		frt, _ := fresh.RTTOf(b)
+		if sameEntry(prev, b, fs, fok, frt) {
 			return
 		}
 		if pr.Affected.Contains(b) {
@@ -149,18 +134,19 @@ func (ss *Session) predictEpoch(er *EpochResult) (*verfploeter.Catchment, error)
 			er.PredictMisses++
 		}
 	}
-	if escSet != nil {
-		escSet.Range(func(b ipv4.Block) bool {
-			score(b, cur)
-			return true
-		})
+	for stratum, esc := range escalated {
+		if esc {
+			for _, b := range st.blocks[stratum] {
+				score(b, cur)
+			}
+		}
 	}
 	// Sampled blocks outside escalated strata were carried in cur, so
 	// their fresh witness is obs. (driftedStrata escalates every drifted
 	// sampled block's stratum, so these are normally the confirmed-stable
 	// ones — but scoring against cur would bake that assumption in.)
 	probed.Range(func(b ipv4.Block) bool {
-		if escSet == nil || !escSet.Contains(b) {
+		if stratum, _ := st.stratumOf(b); !escalated[stratum] {
 			score(b, obs)
 		}
 		return true

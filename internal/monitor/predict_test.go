@@ -66,6 +66,13 @@ func TestPredictModeMatchesFullMode(t *testing.T) {
 				t.Errorf("event streams differ:\nfull:\n%s\nfused:\n%s",
 					eventString(full.Events), eventString(fused.Events))
 			}
+			// Epochs 2, 4 and 6 change nothing: any escalation there is
+			// a false alarm.
+			for _, e := range []int{2, 4, 6} {
+				if w := fused.Epochs[e].WastedEscalations; w != 0 {
+					t.Errorf("stable epoch %d wasted %d escalations", e, w)
+				}
+			}
 		})
 	}
 }

@@ -56,11 +56,38 @@ func (p *Permutation) Index(i int) int {
 	}
 }
 
+// Position returns the position at which the permutation visits x, x in
+// [0, Len()) — the inverse of Index: Index(Position(x)) == x. It runs
+// the Feistel rounds backwards and cycle-walks the same padding chain
+// Index walked forwards, so it costs what one Index call costs; a
+// caller holding a few members of a large domain can locate them
+// without evaluating the whole permutation.
+func (p *Permutation) Position(x int) int {
+	y := uint64(x)
+	for {
+		y = p.feistelInverse(y)
+		if y < p.n {
+			return int(y)
+		}
+	}
+}
+
 func (p *Permutation) feistel(x uint64) uint64 {
 	l := x >> p.halfBits
 	r := x & p.halfMask
 	for _, k := range p.keys {
 		l, r = r, l^(p.round(r, k)&p.halfMask)
+	}
+	return l<<p.halfBits | r
+}
+
+// feistelInverse undoes feistel: each round (l, r) -> (r, l^f(r)) is
+// reversed as (l', r') -> (r'^f(l'), l'), keys in reverse order.
+func (p *Permutation) feistelInverse(x uint64) uint64 {
+	l := x >> p.halfBits
+	r := x & p.halfMask
+	for i := len(p.keys) - 1; i >= 0; i-- {
+		l, r = r^(p.round(l, p.keys[i])&p.halfMask), l
 	}
 	return l<<p.halfBits | r
 }

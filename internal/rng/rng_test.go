@@ -231,3 +231,23 @@ func TestPermutationProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestPermutationPositionInvertsIndex checks Position against Index as
+// its reference, in both directions, over every element. The odd bit
+// widths (n = 3, 5, 257, 4097, 100003) leave padding in the even-bit
+// Feistel domain, so cycle-walking runs in both directions.
+func TestPermutationPositionInvertsIndex(t *testing.T) {
+	for _, n := range []int{1, 2, 3, 5, 255, 256, 257, 4097, 100003} {
+		p := NewPermutation(New(uint64(n)*31+7), n)
+		for i := 0; i < n; i++ {
+			if got := p.Position(p.Index(i)); got != i {
+				t.Fatalf("n=%d: Position(Index(%d)) = %d", n, i, got)
+			}
+		}
+		for x := 0; x < n; x++ {
+			if got := p.Index(p.Position(x)); got != x {
+				t.Fatalf("n=%d: Index(Position(%d)) = %d", n, x, got)
+			}
+		}
+	}
+}

@@ -219,13 +219,20 @@ func Run(cfg Config) (*Catchment, Stats, error) {
 	// sequence-number arithmetic); sendNS maps id → last probe send time
 	// in ns (-1 = never probed). Chunks probe disjoint permutation
 	// positions, hence disjoint ids, so they write sendNS without locks
-	// or merges.
+	// or merges. A subset sweep fills order and pos32 for its members
+	// only (see subsetMembers).
 	order := make([]uint32, n)
 	pos32 := make([]uint32, n)
-	for i := 0; i < n; i++ {
-		id := perm.Index(i)
-		order[i] = uint32(id)
-		pos32[id] = uint32(i)
+	nChunks := (n + probeChunkTargets - 1) / probeChunkTargets
+	var members [][]int
+	if cfg.Subset == nil {
+		for i := 0; i < n; i++ {
+			id := perm.Index(i)
+			order[i] = uint32(id)
+			pos32[id] = uint32(i)
+		}
+	} else {
+		members = subsetMembers(&cfg, perm, nChunks, order, pos32)
 	}
 	sendNS := make([]int64, n)
 	for i := range sendNS {
@@ -240,7 +247,6 @@ func Run(cfg Config) (*Catchment, Stats, error) {
 	// arrival time afterwards — byte-identical to the order the site
 	// taps would have delivered them, because the virtual clock breaks
 	// arrival-time ties by event creation order, which is send order.
-	nChunks := (n + probeChunkTargets - 1) / probeChunkTargets
 	chunks := make([]probeChunk, nChunks)
 	parallel.ForEach(cfg.Workers, nChunks, func(c int) {
 		lo := c * probeChunkTargets
@@ -249,6 +255,10 @@ func Run(cfg Config) (*Catchment, Stats, error) {
 			hi = n
 		}
 		ch := &chunks[c]
+		sp := chunkSpan{lo: lo, hi: hi}
+		if members != nil {
+			sp.incl = members[c]
+		}
 		span := cfg.Obs.StartSpan("sweep", c)
 		clock := vclock.New()
 		clock.Advance(chunkOffset(lo, cfg.Rate))
@@ -266,7 +276,6 @@ func Run(cfg Config) (*Catchment, Stats, error) {
 			}
 			ch.replies = append(ch.replies, Reply{Site: site, At: at, Src: from, Ident: ident, Seq: seq})
 		})
-		sp := cfg.span(order, lo, hi)
 		ch.stats.Targets = sp.count()
 		ch.replies = make([]Reply, 0, sp.count())
 		ch.err = sweep(net, clock, &cfg, order, sp, sendNS, &ch.stats)
@@ -437,20 +446,54 @@ func (sp chunkSpan) pos(k int) int {
 	return sp.lo + k
 }
 
-// span materializes the chunk's probe positions under the configured
-// subset (all of [lo, hi) when Subset is nil).
-func (cfg *Config) span(order []uint32, lo, hi int) chunkSpan {
-	sp := chunkSpan{lo: lo, hi: hi}
-	if cfg.Subset == nil {
-		return sp
+// notProbed is pos32's entry for an id outside Config.Subset. It lies
+// past every permutation position, so retryMissing's chunk-range test
+// never mistakes a reply from such an id for one of its targets.
+const notProbed = ^uint32(0)
+
+// subsetMembers locates Config.Subset's members in the full sweep's
+// permutation without evaluating the rest of it: one inverse
+// permutation per member fills that member's order and pos32 entries
+// (every other id keeps pos32 = notProbed), and the positions are
+// bucketed by chunk and sorted — each chunk's share of the full sweep's
+// send order. The permutation work and the bucket sorts scale with the
+// subset; only the pos32 sentinel fill touches every id.
+func subsetMembers(cfg *Config, perm *rng.Permutation, nChunks int, order, pos32 []uint32) [][]int {
+	for i := range pos32 {
+		pos32[i] = notProbed
 	}
-	sp.incl = make([]int, 0, hi-lo)
-	for i := lo; i < hi; i++ {
-		if cfg.Subset.Contains(cfg.Hitlist.Entries[order[i]].Addr.Block()) {
-			sp.incl = append(sp.incl, i)
+	ix := cfg.Hitlist.Index()
+	positions := make([]int, 0, cfg.Subset.Len())
+	counts := make([]int, nChunks)
+	cfg.Subset.Range(func(b ipv4.Block) bool {
+		if id := ix.Of(b); id >= 0 {
+			p := perm.Position(id)
+			order[p] = uint32(id)
+			pos32[id] = uint32(p)
+			positions = append(positions, p)
+			counts[p/probeChunkTargets]++
 		}
+		return true
+	})
+	// Counting sort into one backing array: each chunk's bucket is a
+	// capacity-capped window that its appends fill exactly. An empty
+	// bucket is still non-nil, since chunkSpan reads a nil incl as the
+	// whole chunk.
+	members := make([][]int, nChunks)
+	backing := make([]int, len(positions))
+	off := 0
+	for c, k := range counts {
+		members[c] = backing[off : off : off+k]
+		off += k
 	}
-	return sp
+	for _, p := range positions {
+		c := p / probeChunkTargets
+		members[c] = append(members[c], p)
+	}
+	for _, m := range members {
+		slices.Sort(m)
+	}
+	return members
 }
 
 // sweep sends probes for the chunk's permutation span onto the virtual

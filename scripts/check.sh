@@ -78,7 +78,7 @@ echo "$got"
 # to one grep. Recalibrate only when the predictor or the dataplane's
 # serving function deliberately changes.
 echo "== predict smoke (ext-predict, tiny, fixed seed)"
-want="predict: prepend P=1.000 R=1.000 withdraw P=1.000 R=1.000 tie-break P=1.000 R=1.000 saving=4.0x"
+want="predict: prepend P=1.000 R=1.000 withdraw P=1.000 R=1.000 tie-break P=1.000 R=1.000 saving=3.9x"
 got=$(go run ./cmd/vp-experiments -run ext-predict -size tiny -seed 7 \
 	| grep "^predict: ")
 if [ "$got" != "$want" ]; then
