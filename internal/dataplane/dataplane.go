@@ -114,8 +114,8 @@ type Stats struct {
 	FaultBlackouts   uint64 // replies/queries lost to a site blackout
 }
 
-// Add accumulates another snapshot into s — how the parallel sweep
-// merges its per-chunk forks' counters into round totals.
+// Add accumulates another snapshot into s — how a send applies its
+// Outcome's deltas, and how the probe sweep sums them into round totals.
 func (s *Stats) Add(o Stats) {
 	s.ProbesSent += o.ProbesSent
 	s.BadPackets += o.BadPackets
@@ -157,20 +157,22 @@ func (s Stats) PublishObs(r *obsv.Registry) {
 //
 // # Concurrency contract
 //
-// A Net is confined to one goroutine at a time: it shares a virtual
-// clock with its callers, and every packet path (SendProbe,
-// QueryAnycast, tap delivery during clock advancement) mutates counters
-// and the event queue without locks, by design — single-threaded
-// execution over a virtual clock is what makes runs reproducible.
-// Parallelism happens *around* the Net, never inside it: the parallel
-// mapping engine gives each probe chunk, measurement round, and
-// experiment its own Fork and merges results deterministically. The
-// immutable inputs a Net reads (Config.Top, an installed
-// *bgp.Assignment) may be shared freely across forks.
+// The packet paths (SendProbe, SendEcho, QueryAnycast, tap delivery
+// during clock advancement) confine a Net to one goroutine at a time:
+// they share a virtual clock with their callers and mutate counters,
+// rate-limit state and the event queue without locks, by design —
+// single-threaded execution over a virtual clock is what makes runs
+// reproducible. Callers that deliver packets in parallel give each
+// measurement round and experiment its own Fork and merge results
+// deterministically. Outcome is the exception: it only reads the Net,
+// so the probe sweep's chunks call it concurrently on one shared Net,
+// provided nobody reconfigures the Net (assignment, round, faults)
+// meanwhile. The immutable inputs a Net reads (Config.Top, an
+// installed *bgp.Assignment) may be shared freely across forks.
 //
-// The contract is asserted cheaply: re-entering a Net from a second
-// goroutine mid-operation panics (see enter), and the package's tests
-// run under the race detector.
+// The contract is asserted cheaply: re-entering a packet path from a
+// second goroutine mid-operation panics (see enter), and the package's
+// tests run under the race detector.
 type Net struct {
 	cfg     Config
 	asg     *bgp.Assignment
@@ -182,11 +184,9 @@ type Net struct {
 	busy    atomic.Bool
 
 	// icmpSent counts reply bursts per /24 for the current round, for
-	// the fault profile's ICMP rate limit. It resets on SetRound and is
-	// NOT copied by Fork: the parallel sweep gives every constant-size
-	// probe chunk its own fork, and all probes for a block (the initial
-	// send and its retries) execute inside that block's chunk, so the
-	// per-fork count is deterministic at any worker count.
+	// the fault profile's ICMP rate limit on SendProbe/SendEcho. It
+	// resets on SetRound and is not copied by Fork. The probe sweep does
+	// not touch it: it hands Outcome each block's own count.
 	icmpSent map[ipv4.Block]int
 
 	// sink, when set, receives parsed echo replies directly instead of
@@ -208,10 +208,11 @@ type ReplySink func(site int, from ipv4.Addr, ident, seq uint16, at time.Duratio
 // fn immediately, with the identical site, source, ident, seq, and
 // arrival time. This removes three allocations per reply copy (the
 // frame, the delivery closure, the clock event) and the re-parse at the
-// tap — the dominant cost of an internet-scale sweep — without touching
-// the impairment or fault coins, which depend only on (seed, block,
-// round[, seq]). Site taps still gate delivery (a site without a tap
-// captures nothing) but are not called. Forks do not inherit the sink.
+// tap, without touching the impairment or fault coins, which depend only
+// on (seed, block, round[, seq]). Site taps still gate delivery (a site
+// without a tap captures nothing) but are not called. Forks do not
+// inherit the sink. The probe sweep needs neither: it folds Outcome
+// directly.
 func (n *Net) SetReplySink(fn ReplySink) { n.sink = fn }
 
 // Errors surfaced to callers.
@@ -232,8 +233,8 @@ func New(cfg Config) *Net {
 // Fork returns an independent Net over the same topology, seed,
 // impairments, fault profile, and prefixes, driven by its own clock:
 // same routing state (assignments, round), fresh taps, DNS handlers,
-// counters, and ICMP rate-limit state. The parallel mapping engine forks
-// the Net once per probe chunk or round so each worker owns a whole
+// counters, and ICMP rate-limit state. Campaigns fork the Net once per
+// round (see scenario.Scenario.Fork) so each worker owns a whole
 // single-threaded simulation; because every impairment and injected
 // fault is a deterministic function of (seed, block, round[, seq]), a
 // fork delivers exactly the packets the parent would.
@@ -372,56 +373,132 @@ func (n *Net) hash(kind coinKind, block ipv4.Block, round uint32) float64 {
 func (n *Net) SendProbe(originSite int, raw []byte) error {
 	n.enter()
 	defer n.leave()
-	n.stats.ProbesSent++
-	if n.asg == nil {
-		return ErrNoAssignment
-	}
 	probe, err := packet.UnmarshalEcho(raw)
-	if err != nil {
+	if err != nil && n.asg != nil { // with no assignment, send reports that first
+		n.stats.ProbesSent++
 		n.stats.BadPackets++
 		return fmt.Errorf("dataplane: malformed probe: %w", err)
 	}
-	return n.sendEcho(originSite, probe.IP.Src, probe.IP.Dst,
+	return n.send(originSite, probe.IP.Src, probe.IP.Dst,
 		probe.Echo.Ident, probe.Echo.Seq, probe.Echo.Payload)
 }
 
 // SendEcho is SendProbe without the wire format: it injects an echo
-// request given directly as (source, target, ident, seq). The probe
-// sweep uses it to skip one marshal and one parse per probe; every
-// counter, impairment coin, and fault decision is identical to sending
-// the equivalent marshaled frame, because none of them read raw bytes.
+// request given directly as (source, target, ident, seq). Every counter,
+// impairment coin, and fault decision is identical to sending the
+// equivalent marshaled frame, because none of them read raw bytes.
 func (n *Net) SendEcho(originSite int, src, dst ipv4.Addr, ident, seq uint16) error {
 	n.enter()
 	defer n.leave()
-	n.stats.ProbesSent++
-	if n.asg == nil {
-		return ErrNoAssignment
-	}
-	return n.sendEcho(originSite, src, dst, ident, seq, nil)
+	return n.send(originSite, src, dst, ident, seq, nil)
 }
 
-// sendEcho carries a probe through prefix validation, the impairment
-// and fault gauntlet, and reply delivery. Counters must be touched in
-// exactly this order — the golden smokes pin them.
-func (n *Net) sendEcho(originSite int, src, dst ipv4.Addr, ident, seq uint16, payload []byte) error {
+// send applies one probe's Outcome to the Net: it adds the counter
+// deltas, spends the block's ICMP burst, and delivers the reply copies
+// to the sink or, marshaled, onto the capturing site's tap.
+func (n *Net) send(originSite int, src, dst ipv4.Addr, ident, seq uint16, payload []byte) error {
+	block := dst.Block()
+	bursts := 0
+	if n.cfg.Faults.RateLimit > 0 {
+		bursts = n.icmpSent[block]
+	}
+	o := n.Outcome(originSite, src, dst, seq, bursts, n.hasTap)
+	n.stats.Add(o.Stats)
+	if o.Burst {
+		if n.icmpSent == nil {
+			n.icmpSent = make(map[ipv4.Block]int)
+		}
+		n.icmpSent[block]++
+	}
+	if o.Copies == 0 {
+		return o.Err
+	}
+	now := n.cfg.Clock.Now()
+	if n.sink != nil {
+		// Fast path: hand the parsed reply to the sink stamped with its
+		// would-be arrival time. No frame, no closure, no clock event.
+		for c := 0; c < o.Copies; c++ {
+			n.sink(o.Site, o.From, ident, seq, now+o.Arrival(c))
+		}
+		return nil
+	}
+	reply := packet.MarshalEcho(o.From, src, packet.ICMPEchoReply, ident, seq, payload)
+	tap := n.taps[o.Site]
+	for c := 0; c < o.Copies; c++ {
+		n.cfg.Clock.After(o.Arrival(c), func() { tap(reply) })
+	}
+	return nil
+}
+
+func (n *Net) hasTap(site int) bool { return site < len(n.taps) && n.taps[site] != nil }
+
+// DupSpacing separates consecutive copies of one duplicated reply.
+const DupSpacing = 50 * time.Microsecond
+
+// Echo is what one echo request produces: the reply copies a site
+// captures and the counter deltas the send adds to Stats.
+type Echo struct {
+	// Site is the capturing site and From the reply's source — the
+	// target, or an alias of it. Both are meaningful only when Copies > 0.
+	Site int
+	From ipv4.Addr
+	// Delay is the first copy's arrival after the send; see Arrival.
+	Delay time.Duration
+	// Copies counts the captured reply copies: 0 when nothing arrives,
+	// more than 1 when the host duplicates.
+	Copies int
+	// Burst reports that the probe spent one of its /24's per-round ICMP
+	// rate-limit bursts (only under a fault profile with a RateLimit).
+	Burst bool
+	// Stats holds the counter deltas and Err the error SendEcho returns.
+	Stats Stats
+	Err   error
+}
+
+// Arrival is copy c's arrival after the send.
+func (o *Echo) Arrival(c int) time.Duration { return o.Delay + time.Duration(c)*DupSpacing }
+
+// Outcome decides what one echo request from src (a measurement address
+// at originSite) to dst with ICMP sequence seq produces: prefix
+// validation, the impairment and fault gauntlet, the capturing site,
+// the reply's source, its delay and copy count. bursts is how many ICMP
+// reply bursts dst's /24 has already emitted this round, and captures
+// reports whether a site has a capture point; a reply routed to any
+// other site dies uncaptured.
+//
+// Outcome is pure: it performs no I/O and mutates nothing on the Net,
+// so concurrent callers may share one Net as long as nobody reconfigures
+// it meanwhile. SendEcho and SendProbe are Outcome applied to the Net's
+// own counters, rate-limit state, and taps; the probe sweep folds
+// Outcomes directly. The gauntlet's order decides which counter a
+// dropped probe lands in, and the golden smokes pin it.
+func (n *Net) Outcome(originSite int, src, dst ipv4.Addr, seq uint16, bursts int, captures func(site int) bool) (o Echo) {
+	o.Site = -1
+	o.Stats.ProbesSent = 1
 	asg := n.asg
+	if asg == nil {
+		o.Err = ErrNoAssignment
+		return
+	}
 	switch {
 	case n.cfg.AnycastPrefix.Contains(src):
 		// production prefix
 	case n.cfg.TestPrefix.Bits > 0 && n.cfg.TestPrefix.Contains(src):
 		if n.testAsg == nil {
-			return ErrNoAssignment
+			o.Err = ErrNoAssignment
+			return
 		}
 		asg = n.testAsg
 	default:
-		n.stats.BadPackets++
-		return ErrBadSource
+		o.Stats.BadPackets++
+		o.Err = ErrBadSource
+		return
 	}
 	target := dst
 	bi := n.cfg.Top.BlockIndex(target.Block())
 	if bi < 0 {
-		n.stats.UnknownBlocks++
-		return nil // probing unrouted space: silence, like the real thing
+		o.Stats.UnknownBlocks++
+		return // probing unrouted space: silence, like the real thing
 	}
 	binfo := &n.cfg.Top.Blocks[bi]
 	injectFaults := n.cfg.Faults.Enabled()
@@ -431,48 +508,45 @@ func (n *Net) sendEcho(originSite int, src, dst ipv4.Addr, ident, seq uint16, pa
 		// the probe lost in flight. The sequence number keys the loss
 		// coin so a retry with a fresh sequence is an independent draw.
 		if n.cfg.Faults.Silent(binfo.Block) {
-			n.stats.FaultSilenced++
-			return nil
+			o.Stats.FaultSilenced++
+			return
 		}
 		if n.cfg.Faults.DropProbe(binfo.Block, n.round, seq) {
-			n.stats.FaultProbeLost++
-			return nil
+			o.Stats.FaultProbeLost++
+			return
 		}
 	}
 
 	// Does the representative answer this round?
 	if !n.responds(binfo) {
-		n.stats.Unresponsive++
-		return nil
+		o.Stats.Unresponsive++
+		return
 	}
 
 	if injectFaults && n.cfg.Faults.RateLimit > 0 {
 		// ICMP rate limiting at the target's router: each /24 emits at
 		// most RateLimit reply bursts per round; the budget is consumed
 		// only by probes that would actually elicit a reply.
-		if n.icmpSent == nil {
-			n.icmpSent = make(map[ipv4.Block]int)
+		if bursts >= n.cfg.Faults.RateLimit {
+			o.Stats.FaultRateLimited++
+			return
 		}
-		if n.icmpSent[binfo.Block] >= n.cfg.Faults.RateLimit {
-			n.stats.FaultRateLimited++
-			return nil
-		}
-		n.icmpSent[binfo.Block]++
+		o.Burst = true
 	}
 
 	site := asg.SiteAt(bi, n.round, n.cfg.Seed)
-	if site < 0 || site >= len(n.taps) || n.taps[site] == nil {
+	if site < 0 || !captures(site) {
 		// The block's AS heard no announcement; its reply dies in the
 		// void. (With full propagation this is unreachable, but
 		// partial announcements are a legitimate scenario.)
-		n.stats.Unresponsive++
-		return nil
+		o.Stats.Unresponsive++
+		return
 	}
 
 	// Source address: usually the probed address, sometimes an alias.
 	from := target
 	if n.hash(kAlias, binfo.Block, n.round) < n.cfg.Impair.AliasFrac {
-		n.stats.Aliased++
+		o.Stats.Aliased++
 		if n.hash(kXAlias, binfo.Block, n.round) < n.cfg.Impair.CrossAlias && bi+1 < len(n.cfg.Top.Blocks) {
 			from = n.cfg.Top.Blocks[bi+1].Block.Addr(uint8(target) & 0xff)
 		} else {
@@ -484,19 +558,19 @@ func (n *Net) sendEcho(originSite int, src, dst ipv4.Addr, ident, seq uint16, pa
 		// (nobody captures), or the reply — every duplicate copy of it,
 		// since the path drops rather than the host — lost in flight.
 		if n.cfg.Faults.Blackout(site, n.round) {
-			n.stats.FaultBlackouts++
-			return nil
+			o.Stats.FaultBlackouts++
+			return
 		}
 		if n.cfg.Faults.DropReply(binfo.Block, n.round, seq) {
-			n.stats.FaultReplyLost++
-			return nil
+			o.Stats.FaultReplyLost++
+			return
 		}
 	}
 
 	// Latency: origin→target plus target→catchment-site legs.
 	delay := n.cfg.Impair.BaseRTT + n.replyDelay(asg, binfo, originSite, site)
 	if n.hash(kLate, binfo.Block, n.round) < n.cfg.Impair.LateFrac {
-		n.stats.Late++
+		o.Stats.Late++
 		delay += n.cfg.Impair.LateDelay
 	}
 
@@ -511,28 +585,11 @@ func (n *Net) sendEcho(originSite int, src, dst ipv4.Addr, ident, seq uint16, pa
 			}
 		}
 		copies += extra
-		n.stats.Duplicates += uint64(extra)
+		o.Stats.Duplicates += uint64(extra)
 	}
-
-	if n.sink != nil {
-		// Fast path: hand the parsed reply to the sink stamped with its
-		// would-be arrival time. No frame, no closure, no clock event.
-		now := n.cfg.Clock.Now()
-		for c := 0; c < copies; c++ {
-			d := delay + time.Duration(c)*50*time.Microsecond
-			n.stats.Replies++
-			n.sink(site, from, ident, seq, now+d)
-		}
-		return nil
-	}
-	reply := packet.MarshalEcho(from, src, packet.ICMPEchoReply, ident, seq, payload)
-	tap := n.taps[site]
-	for c := 0; c < copies; c++ {
-		d := delay + time.Duration(c)*50*time.Microsecond
-		n.stats.Replies++
-		n.cfg.Clock.After(d, func() { tap(reply) })
-	}
-	return nil
+	o.Stats.Replies = uint64(copies)
+	o.Site, o.From, o.Delay, o.Copies = site, from, delay, copies
+	return
 }
 
 func (n *Net) replyDelay(asg *bgp.Assignment, b *topology.BlockInfo, originSite, catchSite int) time.Duration {

@@ -10,10 +10,11 @@
 //
 //   - disjoint index writes: each item i writes only out[i] (assignment,
 //     probe marshaling, reply parsing);
-//   - keyed sharding: state-carrying passes (duplicate suppression,
-//     first-reply-wins catchment folding) partition their input by a key
-//     (the /24 block) so all order-dependent interactions stay inside one
-//     shard, which processes them in original input order;
+//   - keyed sharding: a state-carrying pass partitions its input by a
+//     key (say, the /24 block) so all order-dependent interactions stay
+//     inside one shard, which processes them in original input order
+//     (Shards; no pipeline stage needs it since the probe sweep folds
+//     each reply in the chunk that sent it);
 //   - ordered merge: per-shard or per-chunk results are combined in shard
 //     index order, or with a commutative reduction (counter sums).
 //
@@ -21,10 +22,10 @@
 // only change wall-clock time, never results.
 //
 // The fault-injection layer (internal/faults) leans on the same shapes:
-// per-/24 rate-limit state lives on each probe chunk's dataplane fork,
-// and every probe for a block — retries included — executes inside that
-// block's constant-boundary chunk, so injected faults replay identically
-// at any pool width.
+// the probe sweep keeps each block's per-/24 rate-limit count beside the
+// block in its constant-boundary chunk, and every probe for a block —
+// retries included — executes inside that chunk, so injected faults
+// replay identically at any pool width.
 package parallel
 
 import (

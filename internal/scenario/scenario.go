@@ -9,7 +9,6 @@ package scenario
 import (
 	"fmt"
 	"strings"
-	"time"
 
 	"verfploeter/internal/bgp"
 	"verfploeter/internal/dataplane"
@@ -65,12 +64,10 @@ type Scenario struct {
 	Workers int
 
 	// Retries is the per-target retransmission budget applied to every
-	// measurement on this deployment (see verfploeter.Config.Retries);
-	// RetryBackoff overrides the first-pass backoff when positive. Both
-	// are inherited by Forks, so campaigns retry consistently across
-	// rounds. Zero values keep the historic single-shot sweep.
-	Retries      int
-	RetryBackoff time.Duration
+	// measurement on this deployment (see verfploeter.Config.Retries).
+	// Forks inherit it, so campaigns retry consistently across rounds.
+	// Zero keeps the historic single-shot sweep.
+	Retries int
 
 	// StatsSink, when set, observes the Stats of every successful sweep
 	// run through this deployment (Measure, MeasureTest, MeasureSubset),
@@ -301,11 +298,11 @@ func (s *Scenario) AnnounceTest(extraPrepend []int, epoch uint64) {
 // production. AnnounceTest must have been called.
 func (s *Scenario) MeasureTest(roundID uint16) (*verfploeter.Catchment, verfploeter.Stats, error) {
 	return s.runSweep(verfploeter.Config{
-		Hitlist: s.Hitlist, Net: s.Net, Clock: s.Clock,
+		Hitlist: s.Hitlist, Net: s.Net,
 		NSite: len(s.Sites), OriginSite: 0, SourceAddr: s.TestMeasureAddr,
 		RoundID: roundID, Seed: s.Seed ^ uint64(roundID)<<32 ^ 0x7e57,
 		Workers: s.Workers,
-		Retries: s.Retries, RetryBackoff: s.RetryBackoff,
+		Retries: s.Retries,
 	})
 }
 
@@ -417,12 +414,12 @@ func (s *Scenario) Measure(roundID uint16) (*verfploeter.Catchment, verfploeter.
 // roundID.
 func (s *Scenario) MeasureSubset(roundID uint16, subset *ipv4.BlockSet) (*verfploeter.Catchment, verfploeter.Stats, error) {
 	return s.runSweep(verfploeter.Config{
-		Hitlist: s.Hitlist, Net: s.Net, Clock: s.Clock,
+		Hitlist: s.Hitlist, Net: s.Net,
 		NSite: len(s.Sites), OriginSite: 0, SourceAddr: s.MeasureAddr,
 		RoundID: roundID, Seed: s.Seed ^ uint64(roundID)<<32,
 		Workers: s.Workers,
-		Retries: s.Retries, RetryBackoff: s.RetryBackoff,
-		Subset: subset,
+		Retries: s.Retries,
+		Subset:  subset,
 	})
 }
 

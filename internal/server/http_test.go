@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"verfploeter/internal/monitor"
+	"verfploeter/internal/obsv"
 	"verfploeter/internal/scenario"
 	"verfploeter/internal/server"
 	"verfploeter/internal/topology"
@@ -252,5 +253,42 @@ func TestTickerAdvancesEpochs(t *testing.T) {
 	time.Sleep(20 * time.Millisecond)
 	if tn.Epoch() != e {
 		t.Fatal("epochs still advancing after Shutdown")
+	}
+}
+
+// TestTickerCountsEpochErrors: an epoch the ticker cannot advance is
+// counted in server_epoch_errors instead of vanishing. The tenant's
+// scenario turns invalid (negative Retries) after its baseline, so
+// every ticked epoch fails its sweep.
+func TestTickerCountsEpochErrors(t *testing.T) {
+	scn := scenario.BRoot(topology.SizeTiny, 7)
+	scn.OnEpoch(func(s *scenario.Scenario, e int) {
+		if e > 0 {
+			s.Retries = -1
+		}
+	})
+	obs := obsv.New()
+	tn, err := server.NewTenant(scn, server.TenantConfig{Name: "broken"}, obs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sv := server.New(server.Config{Obs: obs, EpochInterval: 10 * time.Millisecond})
+	if err := sv.AddTenant(tn); err != nil {
+		t.Fatal(err)
+	}
+	if err := sv.Start(); err != nil {
+		t.Fatal(err)
+	}
+	errs := obs.Counter("server_epoch_errors", "")
+	deadline := time.Now().Add(10 * time.Second)
+	for errs.Value() < 1 && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
+	}
+	sv.Shutdown()
+	if errs.Value() < 1 {
+		t.Fatalf("server_epoch_errors = %d after failing epochs, want >= 1", errs.Value())
+	}
+	if tn.Epoch() != 0 {
+		t.Errorf("tenant published epoch %d, want the baseline only", tn.Epoch())
 	}
 }

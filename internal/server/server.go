@@ -34,13 +34,19 @@ type Server struct {
 	tenants map[string]*Tenant
 	names   []string // sorted, for deterministic listings
 
+	// epochErrs counts ticker epochs that failed (nil without Obs).
+	epochErrs *obsv.Counter
+
 	stop chan struct{}
 	wg   sync.WaitGroup
 }
 
 // New builds an empty server.
 func New(cfg Config) *Server {
-	return &Server{cfg: cfg, tenants: map[string]*Tenant{}, stop: make(chan struct{})}
+	return &Server{
+		cfg: cfg, tenants: map[string]*Tenant{}, stop: make(chan struct{}),
+		epochErrs: cfg.Obs.Counter("server_epoch_errors", "ticker epochs that failed to advance a tenant"),
+	}
 }
 
 // AddTenant registers a tenant before Start.
@@ -104,8 +110,12 @@ func (sv *Server) tick() {
 					return
 				default:
 				}
+				// A failed epoch publishes nothing: /healthz shows the
+				// tenant's epoch going stale, and the counter counts it.
 				t, _ := sv.Tenant(name)
-				_, _ = t.Advance(false) // epoch errors surface via /healthz epoch staleness
+				if _, err := t.Advance(false); err != nil {
+					sv.epochErrs.Inc()
+				}
 			}
 		}
 	}

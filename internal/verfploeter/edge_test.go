@@ -84,92 +84,6 @@ func TestRunSingleBlockSubset(t *testing.T) {
 	}
 }
 
-// TestStreamShardsDuplicateBurst: the paper observes "systems replying
-// multiple times to a single echo request, in some cases up to thousands
-// of times" — a burst of N identical replies must fold to one kept
-// reply and N-1 duplicates, identically for any shard count.
-func TestStreamShardsDuplicateBurst(t *testing.T) {
-	w := newWorld(t, 11, dataplane.Impairments{})
-	src := w.hl.Entries[0].Addr
-	const n = 50
-	chunks := []probeChunk{{replies: duplicateBurst(w, n)}}
-
-	for _, workers := range []int{1, 4} {
-		catch, stats := foldChunks(chunks, w.hl, 2, 3, time.Minute, workers)
-		if stats.Kept != 1 || stats.Duplicates != n-1 {
-			t.Errorf("workers=%d: kept=%d dups=%d, want 1/%d", workers, stats.Kept, stats.Duplicates, n-1)
-		}
-		if stats.Total != n {
-			t.Errorf("workers=%d: total=%d, want %d", workers, stats.Total, n)
-		}
-		if catch.Len() != 1 {
-			t.Errorf("workers=%d: catchment has %d blocks, want 1", workers, catch.Len())
-		}
-		if site, ok := catch.SiteOf(src.Block()); !ok || site != 1 {
-			t.Errorf("workers=%d: block mapped to %d (ok=%v), want site 1", workers, site, ok)
-		}
-	}
-}
-
-// TestStreamShardsDropRules pins the per-reply drop paths (wrong round,
-// late, unsolicited) through the sharded fold.
-func TestStreamShardsDropRules(t *testing.T) {
-	w := newWorld(t, 11, dataplane.Impairments{})
-	src := w.hl.Entries[0].Addr
-	outside := ipv4.MustParseAddr("203.0.113.77") // not on the hitlist
-	chunks := []probeChunk{{replies: []Reply{
-		{Site: 0, At: time.Second, Src: src, Ident: 9},     // wrong round
-		{Site: 0, At: 2 * time.Minute, Src: src, Ident: 7}, // late
-		{Site: 0, At: time.Second, Src: outside, Ident: 7}, // unsolicited
-		{Site: 0, At: 2 * time.Second, Src: src, Ident: 7}, // the one good reply
-	}}}
-
-	catch, stats := foldChunks(chunks, w.hl, 2, 7, time.Minute, 2)
-	if stats.WrongRound != 1 || stats.Late != 1 || stats.Unsolicited != 1 || stats.Kept != 1 {
-		t.Errorf("stats = %+v, want wrong-round/late/unsolicited/kept all 1", stats)
-	}
-	if stats.Total != len(chunks[0].replies) || stats.Duplicates != 0 {
-		t.Errorf("total=%d dups=%d, want %d/0", stats.Total, stats.Duplicates, len(chunks[0].replies))
-	}
-	if catch.Len() != 1 {
-		t.Errorf("catchment has %d blocks, want 1", catch.Len())
-	}
-}
-
-// TestStreamBuilderCleaning runs every cleaning rule on one source
-// through the fold with send times, so the kept echo also carries its
-// RTT: the first in-round, on-time reply wins its block for its site.
-func TestStreamBuilderCleaning(t *testing.T) {
-	w := newWorld(t, 11, dataplane.Impairments{})
-	src := w.hl.Entries[0].Addr
-	// Identity permutation positions; only target 0 was sent, at 5ms.
-	pos32 := make([]uint32, w.hl.Len())
-	sendNS := make([]int64, w.hl.Len())
-	for i := range pos32 {
-		pos32[i], sendNS[i] = uint32(i), -1
-	}
-	sendNS[0] = int64(5 * time.Millisecond)
-	chunks := []probeChunk{{replies: []Reply{
-		{Site: 0, At: 10 * time.Millisecond, Src: src, Ident: 9},                           // kept, RTT 5ms
-		{Site: 1, At: 11 * time.Millisecond, Src: src, Ident: 9},                           // dup
-		{Site: 0, At: 12 * time.Millisecond, Src: src, Ident: 8},                           // wrong round
-		{Site: 0, At: 13 * time.Millisecond, Src: ipv4.MustParseAddr("9.9.9.9"), Ident: 9}, // unsolicited
-		{Site: 0, At: 2 * time.Minute, Src: src, Ident: 9},                                 // late
-	}}}
-
-	catch, stats := foldChunksSubset(chunks, w.hl, nil, pos32, sendNS, 0, 2, 9, time.Minute, 1)
-	if stats.Kept != 1 || stats.Duplicates != 1 || stats.WrongRound != 1 ||
-		stats.Late != 1 || stats.Unsolicited != 1 {
-		t.Fatalf("stats = %+v", stats)
-	}
-	if site, ok := catch.SiteOf(src.Block()); !ok || site != 0 {
-		t.Fatalf("block not mapped to first site")
-	}
-	if rtt, ok := catch.RTTOf(src.Block()); !ok || rtt != 5*time.Millisecond {
-		t.Fatalf("RTT = %v, %v", rtt, ok)
-	}
-}
-
 // TestCentralKeepsRawBurst: replies reach the fold raw — every
 // duplicate copy the data plane emits is carried through capture and
 // counted by the cleaner, not collapsed at the sink. With every block

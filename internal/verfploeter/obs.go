@@ -6,8 +6,8 @@ import (
 )
 
 // publishRound feeds one finished round's totals into the registry: the
-// sweep's probe/reply accounting plus the chunk forks' merged dataplane
-// counters, fault injections included. It runs once per Run, after the
+// sweep's probe/reply accounting plus the chunks' summed dataplane
+// counter deltas, fault injections included. It runs once per Run, after the
 // deterministic work is done, from numbers the round already accumulated
 // — instrumentation never adds per-probe cost, which is how the disabled
 // path stays byte-identical and zero-alloc.

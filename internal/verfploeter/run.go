@@ -1,9 +1,9 @@
 package verfploeter
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"time"
 
@@ -19,15 +19,15 @@ import (
 // Config describes one measurement round (§3.1, §4.2):
 //
 //   - probes go to every hitlist target, in pseudorandom order, rate
-//     limited "to prevent overloading networks or network equipment";
+//     limited "to prevent overloading networks or network equipment"
+//     (DefaultRate);
 //   - they carry the round identifier in the ICMP Ident field so
 //     overlapping rounds separate cleanly;
 //   - replies are captured at every site and cleaned with the paper's
-//     15-minute cutoff.
+//     15-minute cutoff (DefaultCutoff).
 type Config struct {
 	Hitlist *hitlist.Hitlist
 	Net     *dataplane.Net
-	Clock   *vclock.Clock
 	NSite   int
 
 	// OriginSite is where the prober runs; SourceAddr is the designated
@@ -35,26 +35,16 @@ type Config struct {
 	OriginSite int
 	SourceAddr ipv4.Addr
 
-	// Rate is probes/second (paper: 6-10k q/s); Burst the token-bucket
-	// depth. Zero values take defaults.
-	Rate  float64
-	Burst int
-
 	// RoundID tags this measurement's probes.
 	RoundID uint16
-
-	// Cutoff discards replies arriving later than this after the round
-	// starts (paper: 15 minutes).
-	Cutoff time.Duration
 
 	// Seed keys the pseudorandom probe order.
 	Seed uint64
 
-	// Workers bounds the parallel engine's pool: probe synthesis, the
-	// chunked sweep, and the sharded catchment build. Zero means one
-	// worker per CPU. The result is identical for every worker count —
-	// chunk boundaries depend only on the hitlist size and merges happen
-	// in chunk/shard order.
+	// Workers bounds the parallel engine's pool: probe synthesis and the
+	// chunked sweep. Zero means one worker per CPU. The result is
+	// identical for every worker count — chunk boundaries depend only on
+	// the hitlist size and merges happen in chunk order.
 	Workers int
 
 	// Subset restricts the sweep to hitlist entries whose /24 block is in
@@ -72,27 +62,20 @@ type Config struct {
 	// Retries is the per-target retransmission budget for loss-aware
 	// probing: after the initial sweep, targets that have not answered are
 	// re-probed up to Retries times, with capped exponential backoff on
-	// the virtual clock between passes. Each retry carries a fresh
-	// sequence number, so the fault layer's loss coins are independent
-	// draws and the reply fold's first-reply-wins dedup guarantees a
-	// block is never counted twice. Zero (the default) disables retries
-	// and leaves the probe stream byte-identical to earlier releases.
+	// the virtual clock between passes (DefaultRetryBackoff, doubling up
+	// to DefaultRetryBackoffMax). Each retry carries a fresh sequence
+	// number, so the fault layer's loss coins are independent draws and
+	// the reply fold's first-reply-wins dedup guarantees a block is never
+	// counted twice. Zero (the default) disables retries and leaves the
+	// probe stream byte-identical to earlier releases.
 	Retries int
 
-	// RetryBackoff is the wait before the first retry pass; it doubles
-	// each pass, capped at RetryBackoffMax. Zero values take defaults.
-	// The backoff must exceed the worst-case reply RTT, or in-flight
-	// replies would be retried spuriously (the defaults leave ample
-	// margin over the dataplane's geographic delays).
-	RetryBackoff    time.Duration
-	RetryBackoffMax time.Duration
-
 	// Obs, when set, receives the round's instrumentation: probe/reply/
-	// fault counters and (with tracing enabled) per-chunk sweep spans and
-	// a fold span. Publication happens once per Run from totals the round
-	// already accumulated — never per probe — so a nil registry (the
-	// default) costs nothing and the measured output is byte-identical
-	// either way. See internal/obsv.
+	// fault counters and (with tracing enabled) per-chunk sweep spans.
+	// Publication happens once per Run from totals the round already
+	// accumulated — never per probe — so a nil registry (the default)
+	// costs nothing and the measured output is byte-identical either way.
+	// See internal/obsv.
 	Obs *obsv.Registry
 }
 
@@ -128,7 +111,13 @@ func (s Stats) ResponseRate() float64 {
 	return float64(s.Responded) / float64(s.Targets)
 }
 
-// Default tuning.
+// Sweep tuning. The prober sends DefaultRate probes per second (paper:
+// 6-10k q/s) from a token bucket DefaultBurst deep, and the cleaner
+// drops replies arriving more than DefaultCutoff after the round starts
+// (paper: 15 minutes). Retry passes wait DefaultRetryBackoff, doubling
+// each pass up to DefaultRetryBackoffMax — ample margin over the
+// dataplane's worst-case reply RTT, so in-flight replies are never
+// retried spuriously.
 const (
 	DefaultRate            = 10000.0
 	DefaultBurst           = 64
@@ -146,7 +135,7 @@ const retrySeqStride = 0x9e37
 
 // probeChunkTargets fixes the granularity of the chunked probe sweep:
 // each chunk of the probe permutation runs as an independent
-// single-threaded simulation on a dataplane fork. The size is a constant
+// single-threaded pass on its own virtual clock. The size is a constant
 // — never derived from the worker count — because chunk boundaries and
 // the chunk-ordered merge are what make Run's output byte-identical at
 // workers=1 and workers=N.
@@ -155,12 +144,12 @@ const probeChunkTargets = 4096
 // ErrConfig reports invalid measurement configuration.
 var ErrConfig = errors.New("verfploeter: bad config")
 
-func (cfg *Config) fill() error {
+func (cfg *Config) validate() error {
 	if cfg.Hitlist == nil || cfg.Hitlist.Len() == 0 {
 		return fmt.Errorf("%w: empty hitlist", ErrConfig)
 	}
-	if cfg.Net == nil || cfg.Clock == nil {
-		return fmt.Errorf("%w: need Net and Clock", ErrConfig)
+	if cfg.Net == nil {
+		return fmt.Errorf("%w: need Net", ErrConfig)
 	}
 	if cfg.NSite <= 0 {
 		return fmt.Errorf("%w: NSite must be positive", ErrConfig)
@@ -168,28 +157,8 @@ func (cfg *Config) fill() error {
 	if cfg.OriginSite < 0 || cfg.OriginSite >= cfg.NSite {
 		return fmt.Errorf("%w: origin site %d of %d", ErrConfig, cfg.OriginSite, cfg.NSite)
 	}
-	if cfg.Rate <= 0 {
-		cfg.Rate = DefaultRate
-	}
-	if cfg.Burst <= 0 {
-		cfg.Burst = DefaultBurst
-	}
-	if cfg.Cutoff <= 0 {
-		cfg.Cutoff = DefaultCutoff
-	}
 	if cfg.Retries < 0 {
 		return fmt.Errorf("%w: negative Retries", ErrConfig)
-	}
-	if cfg.Retries > 0 {
-		if cfg.RetryBackoff <= 0 {
-			cfg.RetryBackoff = DefaultRetryBackoff
-		}
-		if cfg.RetryBackoffMax < cfg.RetryBackoff {
-			cfg.RetryBackoffMax = DefaultRetryBackoffMax
-		}
-		if cfg.RetryBackoffMax < cfg.RetryBackoff {
-			cfg.RetryBackoffMax = cfg.RetryBackoff
-		}
 	}
 	return nil
 }
@@ -197,15 +166,15 @@ func (cfg *Config) fill() error {
 // Run performs one full measurement round: probe, capture, clean, map.
 // It returns the catchment of every responsive block.
 //
-// The round executes on the parallel engine: the sweep runs as
-// fixed-size chunks of the probe permutation — each chunk sends its
-// probes on its own dataplane fork and virtual clock, offset
-// to the time the rate limiter would reach that chunk — and replies are
-// cleaned and folded by /24-block shards. Every stage merges
-// deterministically, so the catchment and stats are identical for any
-// Workers value.
+// The round executes on the parallel engine as fixed-size chunks of the
+// probe permutation, each paced on its own virtual clock offset to the
+// time the rate limiter would reach that chunk. A chunk asks the Net for
+// each probe's dataplane.Outcome — pure, so Run only reads the Net — and
+// folds the reply into the catchment where the probe was sent. Every
+// merge happens in chunk order, so the catchment and stats are identical
+// for any Workers value.
 func Run(cfg Config) (*Catchment, Stats, error) {
-	if err := cfg.fill(); err != nil {
+	if err := cfg.validate(); err != nil {
 		return nil, Stats{}, err
 	}
 	n := cfg.Hitlist.Len()
@@ -218,9 +187,9 @@ func Run(cfg Config) (*Catchment, Stats, error) {
 	// inverse, id → full-permutation position (the base of
 	// sequence-number arithmetic); sendNS maps id → last probe send time
 	// in ns (-1 = never probed). Chunks probe disjoint permutation
-	// positions, hence disjoint ids, so they write sendNS without locks
-	// or merges. A subset sweep fills order and pos32 for its members
-	// only (see subsetMembers).
+	// positions, hence disjoint ids, so they write sendNS and their
+	// targets' catchment rows without locks or merges. A subset sweep
+	// fills order and pos32 for its members only (see subsetMembers).
 	order := make([]uint32, n)
 	pos32 := make([]uint32, n)
 	nChunks := (n + probeChunkTargets - 1) / probeChunkTargets
@@ -238,61 +207,28 @@ func Run(cfg Config) (*Catchment, Stats, error) {
 	for i := range sendNS {
 		sendNS[i] = -1
 	}
+	catch := NewCatchment(cfg.NSite, cfg.Hitlist.Index())
+	catch.ensureRTTs()
+	rd := &round{cfg: &cfg, order: order, pos32: pos32, sendNS: sendNS, catch: catch}
 
 	// Chunked sweep: chunk c probes permutation positions [lo, hi) on a
-	// fork of the data plane whose clock starts at the virtual time the
-	// round's rate limiter would reach position lo, so capture
-	// timestamps line up with one continuous paced sweep. Replies land
-	// in the fork's reply sink in send order and are stable-sorted by
-	// arrival time afterwards — byte-identical to the order the site
-	// taps would have delivered them, because the virtual clock breaks
-	// arrival-time ties by event creation order, which is send order.
+	// virtual clock that starts at the time the round's rate limiter
+	// would reach position lo, so capture timestamps line up with one
+	// continuous paced sweep.
 	chunks := make([]probeChunk, nChunks)
 	parallel.ForEach(cfg.Workers, nChunks, func(c int) {
 		lo := c * probeChunkTargets
-		hi := lo + probeChunkTargets
-		if hi > n {
-			hi = n
-		}
-		ch := &chunks[c]
-		sp := chunkSpan{lo: lo, hi: hi}
+		sp := chunkSpan{lo: lo, hi: min(lo+probeChunkTargets, n)}
 		if members != nil {
 			sp.incl = members[c]
 		}
 		span := cfg.Obs.StartSpan("sweep", c)
-		clock := vclock.New()
-		clock.Advance(chunkOffset(lo, cfg.Rate))
-		vStart := clock.Now()
-		net := cfg.Net.Fork(clock)
-		// Taps gate delivery (a site without one captures nothing) but
-		// the sink receives every reply parsed, so one no-op serves all.
-		noTap := func([]byte) {}
-		for s := 0; s < cfg.NSite; s++ {
-			net.SetTap(s, noTap)
-		}
-		net.SetReplySink(func(site int, from ipv4.Addr, ident, seq uint16, at time.Duration) {
-			if at > ch.maxAt {
-				ch.maxAt = at
-			}
-			ch.replies = append(ch.replies, Reply{Site: site, At: at, Src: from, Ident: ident, Seq: seq})
-		})
-		ch.stats.Targets = sp.count()
-		ch.replies = make([]Reply, 0, sp.count())
-		ch.err = sweep(net, clock, &cfg, order, sp, sendNS, &ch.stats)
-		if ch.err == nil && cfg.Retries > 0 {
-			ch.err = retryMissing(net, clock, &cfg, order, sp, ch, pos32, sendNS)
-		}
-		// Drain the schedule; the sink already holds every reply
-		// (including deliberately late ones — the cleaner applies the
-		// cutoff on capture timestamps), so only pacing events remain.
-		clock.RunUntilIdle()
-		slices.SortStableFunc(ch.replies, func(a, b Reply) int { return cmp.Compare(a.At, b.At) })
-		ch.end = clock.Now()
-		if ch.maxAt > ch.end {
-			ch.end = ch.maxAt
-		}
-		ch.netStats = net.Stats()
-		span.Virtual(vStart, ch.end).End()
+		sw := chunkSweep{round: rd, ci: c, sp: sp, clock: vclock.New()}
+		sw.clock.Advance(chunkOffset(lo))
+		vStart := sw.clock.Now()
+		sw.run()
+		chunks[c] = sw.probeChunk
+		span.Virtual(vStart, sw.end).End()
 	})
 
 	var stats Stats
@@ -313,10 +249,27 @@ func Run(cfg Config) (*Catchment, Stats, error) {
 		return nil, stats, firstErr
 	}
 
-	foldSpan := cfg.Obs.StartSpan("fold", 0)
-	catch, cstats := foldChunksSubset(chunks, cfg.Hitlist, cfg.Subset, pos32, sendNS, cfg.Retries, cfg.NSite, cfg.RoundID, cfg.Cutoff, cfg.Workers)
-	foldSpan.End()
-	stats.Clean = cstats
+	// A cross-block alias captured in another chunk than its source's
+	// own takes the block when the block has no reply of its own, or
+	// when it is a sequence-matched echo from an earlier chunk: the
+	// kept reply is the first echo in chunk order, else the first reply.
+	// It never carries an RTT — its chunk did not send the block's probe.
+	// Each block has one topology predecessor, so the aliases a chunk
+	// records for a block share one site and the merge order is free.
+	valid := 0
+	for c := range chunks {
+		stats.Clean.add(chunks[c].stats.Clean)
+		valid += chunks[c].valid
+		for _, a := range chunks[c].aliases {
+			owner := int(pos32[a.id]) / probeChunkTargets
+			if catch.csites[a.id] < 0 || (a.echo && c < owner) {
+				catch.storeID(a.id, a.site, 0)
+			}
+		}
+	}
+	catch.recount()
+	stats.Clean.Kept = catch.Len()
+	stats.Clean.Duplicates = valid - stats.Clean.Kept
 	stats.MedianRTT = catch.MedianRTT()
 	stats.Responded = catch.Len()
 	if cfg.Obs != nil {
@@ -334,92 +287,229 @@ func Run(cfg Config) (*Catchment, Stats, error) {
 // a truncated per-token interval multiplied up (which drifts at rates
 // that do not divide a second — the same bug class the RateLimiter's
 // integer ledger fixes).
-func chunkOffset(lo int, rate float64) time.Duration {
-	return time.Duration(float64(lo) * float64(time.Second) / rate)
+func chunkOffset(lo int) time.Duration {
+	return time.Duration(float64(lo) * float64(time.Second) / DefaultRate)
+}
+
+// round is the sweep state every chunk shares.
+type round struct {
+	cfg          *Config
+	order, pos32 []uint32
+	sendNS       []int64
+	catch        *Catchment
+}
+
+// probeChunk is one chunk's share of the round: sweep stats and the
+// cleaning counts that do not depend on order (Total, Late,
+// Unsolicited), its valid reply copies, the aliases it captured for
+// targets of other chunks, its dataplane counter deltas (so Run can
+// publish fault totals without touching the per-packet path), its final
+// absolute virtual time, and its first send error.
+type probeChunk struct {
+	stats    Stats
+	valid    int
+	aliases  []crossAlias
+	netStats dataplane.Stats
+	end      time.Duration
+	err      error
+}
+
+// crossAlias is a valid reply captured in one chunk from the hitlist
+// address of a target another chunk owns: the cross-block alias of that
+// target's topology predecessor. echo marks a sequence match.
+type crossAlias struct {
+	id   int
+	site int16
+	echo bool
+}
+
+// Kept-reply classes of a target, in precedence order: a sequence-
+// matched echo replaces an alias, never the reverse.
+const (
+	unseen uint8 = iota
+	keptAlias
+	keptEcho
+)
+
+// never is a target's first-reply time until a reply is captured.
+const never = time.Duration(math.MaxInt64)
+
+// slot is one probed target's fold state inside its chunk: the reply
+// kept so far (the earliest echo, else the first reply; ties in arrival
+// go to the earlier send, which reached the fold first), the earliest
+// reply captured to its address (what a retry pass sees), and the ICMP
+// reply bursts its /24 has emitted this round.
+type slot struct {
+	first  time.Duration
+	at     time.Duration
+	site   int16
+	kept   uint8
+	bursts int32
+}
+
+// chunkSweep is one chunk's working state while it runs.
+type chunkSweep struct {
+	*round
+	probeChunk
+	ci       int
+	sp       chunkSpan
+	clock    *vclock.Clock
+	slots    []slot
+	captures func(site int) bool
+}
+
+// run sends the chunk's sweep and retry passes and writes its targets'
+// catchment rows.
+func (s *chunkSweep) run() {
+	nSite := s.cfg.NSite
+	s.captures = func(site int) bool { return site < nSite }
+	s.stats.Targets = s.sp.count()
+	s.slots = make([]slot, s.sp.count())
+	for k := range s.slots {
+		s.slots[k].first = never
+	}
+	pacedSend(s.clock, s.sp.count(), func(k int) { s.probe(k, 0) })
+	if s.err == nil && s.cfg.Retries > 0 {
+		s.retryMissing()
+	}
+	s.end = max(s.end, s.clock.Now())
+	// An echo earns its arrival minus the target's last send, retries
+	// included, when it arrived after that send.
+	for k := range s.slots {
+		t := &s.slots[k]
+		if t.kept == unseen {
+			continue
+		}
+		id := int(s.order[s.sp.pos(k)])
+		var rtt int64
+		if t.kept == keptEcho && int64(t.at) > s.sendNS[id] {
+			rtt = int64(t.at) - s.sendNS[id]
+		}
+		s.catch.storeID(id, t.site, rtt)
+	}
 }
 
 // retryMissing is the loss-aware retransmission pass for one chunk: it
 // waits out the backoff on the chunk's virtual clock (letting in-flight
-// replies land), re-probes every target in [lo, hi) that has not yet
-// answered, and repeats with doubled backoff up to the retry budget.
-// Each attempt sends a fresh sequence number, so the fault layer's loss
-// coins are independent draws; recovered replies overwrite the target's
-// send time so their RTTs measure the retransmission, not the lost
-// original. Targets whose replies are aliased to another source keep
-// being retried — exactly what a real prober, blind to the alias, would
-// do. The retry pass runs entirely inside the chunk's fork, so output
-// stays byte-identical at any worker count.
-func retryMissing(net *dataplane.Net, clock *vclock.Clock, cfg *Config,
-	order []uint32, sp chunkSpan, ch *probeChunk, pos32 []uint32, sendNS []int64) error {
-
-	ix := cfg.Hitlist.Index()
-	backoff := cfg.RetryBackoff
-	answered := make([]bool, sp.hi-sp.lo)
-	for attempt := 1; attempt <= cfg.Retries; attempt++ {
-		clock.Advance(backoff)
-		// The sink records replies at send time, stamped with their
-		// arrival time; "answered so far" means arrived by now. A reply
-		// whose source is a hitlist address marks that address's own
-		// permutation position — which lives in this chunk unless the
-		// reply was cross-block aliased, in which case it cannot match
-		// any of this chunk's targets anyway.
-		now := clock.Now()
-		for i := range answered {
-			answered[i] = false
-		}
-		for _, r := range ch.replies {
-			if r.At > now {
-				continue
-			}
-			id := ix.Of(r.Src.Block())
-			if id < 0 || cfg.Hitlist.Entries[id].Addr != r.Src {
-				continue
-			}
-			if p := int(pos32[id]); p >= sp.lo && p < sp.hi {
-				answered[p-sp.lo] = true
-			}
-		}
-		missing := make([]int, 0, 64)
-		for k := 0; k < sp.count(); k++ {
-			i := sp.pos(k)
-			if !answered[i-sp.lo] {
-				missing = append(missing, i)
+// replies land), re-probes every target that has not yet answered, and
+// repeats with doubled backoff up to the retry budget. A target has
+// answered once a reply to its address was captured in this chunk by
+// now: its own, or its predecessor's alias. Each attempt sends a fresh
+// sequence number, so the fault layer's loss coins are independent
+// draws. Targets whose replies are aliased to another source keep being
+// retried — exactly what a real prober, blind to the alias, would do.
+func (s *chunkSweep) retryMissing() {
+	backoff := DefaultRetryBackoff
+	missing := make([]int, 0, 64)
+	for attempt := 1; attempt <= s.cfg.Retries; attempt++ {
+		s.clock.Advance(backoff)
+		now := s.clock.Now()
+		missing = missing[:0]
+		for k := range s.slots {
+			if s.slots[k].first > now {
+				missing = append(missing, k)
 			}
 		}
 		if len(missing) == 0 {
-			return nil
+			return
 		}
-		seqOff := uint16(attempt) * retrySeqStride
-		err := pacedSend(net, clock, cfg, len(missing), func(k int) (int, ipv4.Addr, uint16) {
-			i := missing[k]
-			id := int(order[i])
-			return id, cfg.Hitlist.Entries[id].Addr, uint16(i) + seqOff
-		}, sendNS, &ch.stats)
-		ch.stats.Retried += len(missing)
-		if err != nil {
-			return err
+		pacedSend(s.clock, len(missing), func(j int) { s.probe(missing[j], attempt) })
+		s.stats.Retried += len(missing)
+		if s.err != nil {
+			return
 		}
-		backoff *= 2
-		if backoff > cfg.RetryBackoffMax {
-			backoff = cfg.RetryBackoffMax
-		}
+		backoff = min(2*backoff, DefaultRetryBackoffMax)
 	}
-	return nil
 }
 
-// probeChunk is one chunk's slice of the round: its captured replies
-// (sink-collected, stable-sorted by arrival time once the chunk
-// drains), sweep stats, and final (absolute) clock value.
-type probeChunk struct {
-	replies []Reply
-	maxAt   time.Duration
-	stats   Stats
-	// netStats snapshots the chunk fork's dataplane counters after the
-	// sweep drains, so Run can publish fault totals without touching the
-	// per-packet path.
-	netStats dataplane.Stats
-	end      time.Duration
-	err      error
+// probe sends attempt a of the echo to the target at span rank k and
+// folds what it produces. Probes travel as parsed fields — nothing reads
+// wire bytes, so a per-probe marshal/parse pair would be pure
+// allocation.
+func (s *chunkSweep) probe(k, a int) {
+	i := s.sp.pos(k)
+	id := int(s.order[i])
+	addr := s.cfg.Hitlist.Entries[id].Addr
+	seq := uint16(i) + uint16(a)*retrySeqStride
+	now := s.clock.Now()
+	s.sendNS[id] = int64(now)
+	t := &s.slots[k]
+	o := s.cfg.Net.Outcome(s.cfg.OriginSite, s.cfg.SourceAddr, addr, seq, int(t.bursts), s.captures)
+	s.netStats.Add(o.Stats)
+	if o.Burst {
+		t.bursts++
+	}
+	if o.Err != nil {
+		s.stats.SendErrs++
+		if s.err == nil {
+			s.err = o.Err
+		}
+	}
+	s.stats.Sent++
+	if o.Copies == 0 {
+		return
+	}
+
+	// Clean the copies: all count, those past the cutoff are late, and
+	// the rest are valid when their source is a probed representative.
+	at := now + o.Delay
+	s.end = max(s.end, now+o.Arrival(o.Copies-1))
+	s.stats.Clean.Total += o.Copies
+	valid := 0
+	if at <= DefaultCutoff {
+		valid = min(o.Copies, int((DefaultCutoff-at)/dataplane.DupSpacing)+1)
+	}
+	s.stats.Clean.Late += o.Copies - valid
+	echo := true
+	if o.From != addr {
+		// An alias: unsolicited unless it is a cross-block alias onto the
+		// next block's probed representative, and then that target's
+		// echo only on a sequence collision.
+		tid := s.cfg.Hitlist.Index().Of(o.From.Block())
+		if tid < 0 || s.cfg.Hitlist.Entries[tid].Addr != o.From || s.pos32[tid] == notProbed {
+			s.stats.Clean.Unsolicited += valid
+			return
+		}
+		s.valid += valid
+		p := int(s.pos32[tid])
+		echo = isEcho(s.pos32[tid], seq, s.cfg.Retries)
+		if p/probeChunkTargets != s.ci {
+			if valid > 0 {
+				s.aliases = append(s.aliases, crossAlias{id: tid, site: int16(o.Site), echo: echo})
+			}
+			return
+		}
+		t = &s.slots[s.sp.rank(p)]
+	} else {
+		s.valid += valid
+	}
+	t.first = min(t.first, at)
+	if valid == 0 {
+		return
+	}
+	switch {
+	case t.kept == unseen, t.kept == keptAlias && echo:
+	case t.kept == keptEcho && echo && at < t.at:
+	default:
+		return
+	}
+	t.kept, t.site, t.at = keptAlias, int16(o.Site), at
+	if echo {
+		t.kept = keptEcho
+	}
+}
+
+// isEcho reports whether a reply with sequence seq from the hitlist
+// address at full-permutation position pos is that address's own echo:
+// seq matches pos on some retry attempt.
+func isEcho(pos uint32, seq uint16, retries int) bool {
+	d := seq - uint16(pos)
+	for a := 0; a <= retries; a++ {
+		if d == uint16(a)*retrySeqStride {
+			return true
+		}
+	}
+	return false
 }
 
 // chunkSpan is one chunk's slice of the probe permutation: the dense
@@ -446,9 +536,17 @@ func (sp chunkSpan) pos(k int) int {
 	return sp.lo + k
 }
 
-// notProbed is pos32's entry for an id outside Config.Subset. It lies
-// past every permutation position, so retryMissing's chunk-range test
-// never mistakes a reply from such an id for one of its targets.
+// rank inverts pos for a position p the span probes.
+func (sp chunkSpan) rank(p int) int {
+	if sp.incl != nil {
+		k, _ := slices.BinarySearch(sp.incl, p)
+		return k
+	}
+	return p - sp.lo
+}
+
+// notProbed is pos32's entry for an id outside Config.Subset. A reply
+// from such an id's address is unsolicited.
 const notProbed = ^uint32(0)
 
 // subsetMembers locates Config.Subset's members in the full sweep's
@@ -496,53 +594,24 @@ func subsetMembers(cfg *Config, perm *rng.Permutation, nChunks int, order, pos32
 	return members
 }
 
-// sweep sends probes for the chunk's permutation span onto the virtual
-// clock, paced by a token bucket. Probes travel as parsed fields
-// (SendEcho) — nothing downstream reads wire bytes, so the per-probe
-// marshal/parse pair would be pure allocation.
-func sweep(net *dataplane.Net, clock *vclock.Clock, cfg *Config,
-	order []uint32, sp chunkSpan,
-	sendNS []int64, stats *Stats) error {
-
-	return pacedSend(net, clock, cfg, sp.count(), func(k int) (int, ipv4.Addr, uint16) {
-		i := sp.pos(k)
-		id := int(order[i])
-		return id, cfg.Hitlist.Entries[id].Addr, uint16(i)
-	}, sendNS, stats)
-}
-
 // pacedSend is the send loop under the initial sweep and the retry
-// passes: it emits count probes — dense hitlist id, target address, and
-// ICMP sequence supplied by tgt — paced by a token bucket on the virtual
-// clock, records each send time in the sendNS column, and returns the
-// first send error.
-func pacedSend(net *dataplane.Net, clock *vclock.Clock, cfg *Config,
-	count int, tgt func(k int) (int, ipv4.Addr, uint16),
-	sendNS []int64, stats *Stats) error {
-
-	rl := vclock.NewRateLimiter(clock, cfg.Rate, cfg.Burst)
-	var firstErr error
+// passes: it emits count probes — emit(k) sends the k-th — paced by a
+// token bucket on the virtual clock.
+func pacedSend(clock *vclock.Clock, count int, emit func(k int)) {
+	rl := vclock.NewRateLimiter(clock, DefaultRate, DefaultBurst)
 	k := 0
 	send := func() {
 		for k < count && rl.Allow() {
-			id, addr, seq := tgt(k)
-			sendNS[id] = int64(clock.Now())
-			if err := net.SendEcho(cfg.OriginSite, cfg.SourceAddr, addr, cfg.RoundID, seq); err != nil {
-				stats.SendErrs++
-				if firstErr == nil {
-					firstErr = err
-				}
-			}
-			stats.Sent++
+			emit(k)
 			k++
 		}
 	}
-	// Replies go to the chunk's sink at send time, so the forked clock
-	// carries no events and pacing is plain arithmetic. The clock moves
-	// in windows of one token delay plus a millisecond; inside a window,
-	// each step jumps to the instant the next token is due and sends the
-	// burst the bucket allows. The loop returns at the end of the window
-	// in which the last probe went out.
+	// Replies are folded at send time, so the chunk's clock carries no
+	// events and pacing is plain arithmetic. The clock moves in windows
+	// of one token delay plus a millisecond; inside a window, each step
+	// jumps to the instant the next token is due and sends the burst the
+	// bucket allows. The loop returns at the end of the window in which
+	// the last probe went out.
 	send()
 	if k < count {
 		stepAt := clock.Now() + rl.Delay()
@@ -558,7 +627,6 @@ func pacedSend(net *dataplane.Net, clock *vclock.Clock, cfg *Config,
 			clock.Advance(target - clock.Now())
 		}
 	}
-	return firstErr
 }
 
 // CleanStats accounts for the paper's data-cleaning pass (§4): about 2%
@@ -605,141 +673,4 @@ func Clean(replies []Reply, probed map[ipv4.Addr]bool, roundID uint16, cutoff ti
 	}
 	stats.Kept = len(out)
 	return out, stats
-}
-
-// foldChunks cleans and folds the chunks' replies into one catchment by
-// /24-block shards. All order-dependent cleaning state — duplicate
-// suppression per source, first-reply-wins per block — is keyed by the
-// source's block, so sharding by that block keeps every interaction
-// inside one shard, which walks the chunks in chunk order. The shard
-// count therefore cannot change the result; it only sets parallel width.
-func foldChunks(chunks []probeChunk, hl *hitlist.Hitlist, nSite int, roundID uint16, cutoff time.Duration, workers int) (*Catchment, CleanStats) {
-	return foldChunksSubset(chunks, hl, nil, nil, nil, 0, nSite, roundID, cutoff, workers)
-}
-
-// isEchoID reports whether a reply from the hitlist address with dense
-// id is that address's own echo: its sequence number matches the
-// address's full-permutation position on some retry attempt. A nil
-// pos32 (the raw-replies path, which has no permutation) treats every
-// reply as an echo, reproducing the historic first-reply-wins fold.
-func isEchoID(pos32 []uint32, id int, retries int, seq uint16) bool {
-	if pos32 == nil {
-		return true
-	}
-	d := seq - uint16(pos32[id])
-	for a := 0; a <= retries; a++ {
-		if d == uint16(a)*retrySeqStride {
-			return true
-		}
-	}
-	return false
-}
-
-// sentAtNS returns the send time (ns) of the probe whose reply landed in
-// chunk ci for hitlist id, or -1 when no such send is visible from that
-// chunk. Visibility is chunk-scoped on purpose: a chunk's capture box
-// only knows its own sends, so a reply whose sequence coincidentally
-// matches a target probed by a different chunk must not pick up that
-// chunk's send time. (id's probes all happen in the chunk that owns its
-// permutation position; subset-excluded ids are never sent, so their
-// sendNS stays -1.)
-func sentAtNS(sendNS []int64, pos32 []uint32, id, ci int) int64 {
-	if sendNS == nil || pos32 == nil {
-		return -1
-	}
-	if int(pos32[id])/probeChunkTargets != ci {
-		return -1
-	}
-	return sendNS[id]
-}
-
-// foldChunksSubset is foldChunks with the sweep's target subset: the
-// probed set is filtered to it, so a cross-block aliased reply from an
-// unprobed block counts as unsolicited — exactly what a capture box that
-// never probed the block would conclude.
-//
-// When pos32 is non-nil, the winner for each source is its first
-// sequence-matched echo, and only echoes carry an RTT. Aliased replies
-// (sequence from some other target's probe) win only when no echo ever
-// arrives, and then site-only. This makes the per-block result a
-// function of the round's reply *set* rather than its arrival order:
-// whether an alias lands before or after the echo — which depends on
-// send-time gaps that differ between a full sweep and a compact subset
-// sweep — no longer changes the kept site or RTT.
-//
-// The fold is columnar and barrier-free: every shard writes its blocks'
-// rows directly into one shared indexed catchment (shards own disjoint
-// ids because they shard by block), so there is no per-shard fragment
-// map and no merge pass — only a counter recount and a shard-ordered
-// stats sum after the parallel region.
-func foldChunksSubset(chunks []probeChunk, hl *hitlist.Hitlist, sub *ipv4.BlockSet, pos32 []uint32, sendNS []int64, retries int, nSite int, roundID uint16, cutoff time.Duration, workers int) (*Catchment, CleanStats) {
-	ix := hl.Index()
-	catch := NewCatchment(nSite, ix)
-	if sendNS != nil {
-		catch.ensureRTTs()
-	}
-	// seen tracks the kept reply's class per source: keptAlias entries
-	// are upgraded in place when the source's echo arrives.
-	const (
-		unseen = iota
-		keptAlias
-		keptEcho
-	)
-	seen := make([]uint8, ix.Len())
-	nShards := parallel.Workers(workers)
-	stats := make([]CleanStats, nShards)
-	parallel.Shards(workers, nShards, func(shard int) {
-		st := &stats[shard]
-		for ci := range chunks {
-			for _, r := range chunks[ci].replies {
-				b := r.Src.Block()
-				if int(uint32(b)%uint32(nShards)) != shard {
-					continue
-				}
-				st.Total++
-				// The source was probed iff it is its block's hitlist
-				// representative (and inside the subset, if any).
-				id := ix.Of(b)
-				probed := id >= 0 && hl.Entries[id].Addr == r.Src &&
-					(sub == nil || sub.Contains(b))
-				switch {
-				case r.Ident != roundID:
-					st.WrongRound++
-				case r.At > cutoff:
-					st.Late++
-				case !probed:
-					st.Unsolicited++
-				case seen[id] == unseen:
-					st.Kept++
-					if isEchoID(pos32, id, retries, r.Seq) {
-						seen[id] = keptEcho
-						if t0 := sentAtNS(sendNS, pos32, id, ci); t0 >= 0 && int64(r.At) > t0 {
-							catch.storeID(id, int16(r.Site), int64(r.At)-t0)
-						} else {
-							catch.storeID(id, int16(r.Site), 0)
-						}
-					} else {
-						seen[id] = keptAlias
-						catch.storeID(id, int16(r.Site), 0)
-					}
-				default:
-					st.Duplicates++
-					if seen[id] == keptAlias && isEchoID(pos32, id, retries, r.Seq) {
-						seen[id] = keptEcho
-						var rtt int64
-						if t0 := sentAtNS(sendNS, pos32, id, ci); t0 >= 0 && int64(r.At) > t0 {
-							rtt = int64(r.At) - t0
-						}
-						catch.storeID(id, int16(r.Site), rtt)
-					}
-				}
-			}
-		}
-	})
-	catch.recount()
-	cs := stats[0]
-	for shard := 1; shard < nShards; shard++ {
-		cs.add(stats[shard])
-	}
-	return catch, cs
 }
