@@ -135,7 +135,7 @@ func main() {
 
 	fmt.Printf("scenario %s (seed %d): %d sites, %d hitlist targets\n",
 		d.Name, d.Seed, len(d.Sites), d.Hitlist.Len())
-	fmt.Printf("probed %d targets over %v virtual time; %d replies kept\n",
+	fmt.Printf("probed %d targets; last reply copy (late ones included) at %v virtual time; %d replies kept\n",
 		stats.Sent, stats.Elapsed.Round(1e9), stats.Clean.Kept)
 	fmt.Printf("cleaning: %d duplicates, %d unsolicited, %d late, %d wrong-round\n",
 		stats.Clean.Duplicates, stats.Clean.Unsolicited, stats.Clean.Late, stats.Clean.WrongRound)

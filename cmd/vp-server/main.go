@@ -205,12 +205,19 @@ const (
 	idleTimeout       = 2 * time.Minute
 )
 
+// maxHeaderBytes caps a request's header block. Every API request is a
+// short GET or POST, so 64 KiB is generous; net/http's default of 1 MiB
+// lets each connection make the server buffer sixteen times that. A
+// request past the cap gets 431 Request Header Fields Too Large.
+const maxHeaderBytes = 64 << 10
+
 // newHTTPServer wraps the API handler in the daemon's http.Server.
 func newHTTPServer(h http.Handler) *http.Server {
 	return &http.Server{
 		Handler:           h,
 		ReadHeaderTimeout: readHeaderTimeout,
 		IdleTimeout:       idleTimeout,
+		MaxHeaderBytes:    maxHeaderBytes,
 	}
 }
 

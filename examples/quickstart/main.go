@@ -26,7 +26,7 @@ func main() {
 		log.Fatalf("measurement failed: %v", err)
 	}
 
-	fmt.Printf("probed %d /24 blocks in %v of virtual time\n", stats.Sent, stats.Elapsed)
+	fmt.Printf("probed %d /24 blocks; last reply copy at %v of virtual time\n", stats.Sent, stats.Elapsed)
 	fmt.Printf("replies kept after cleaning: %d (dups %d, unsolicited %d, late %d)\n",
 		stats.Clean.Kept, stats.Clean.Duplicates, stats.Clean.Unsolicited, stats.Clean.Late)
 

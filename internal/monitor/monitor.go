@@ -39,6 +39,7 @@ package monitor
 import (
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"verfploeter/internal/bgp"
@@ -131,7 +132,8 @@ type Config struct {
 	// playbook engine does). A routing change it makes takes effect at the
 	// next epoch's sweep and is classified there as CausePlaybook, unless
 	// an operator Action at that epoch takes precedence. Epoch 0 calls the
-	// controller with the baseline map and no events. A nil Controller
+	// controller with the baseline map and no events. The map is the
+	// epoch's EpochResult.Map and must not be modified. A nil Controller
 	// leaves the monitor's output byte-identical to earlier releases.
 	Controller func(epoch int, cur *verfploeter.Catchment, events []dataset.Event)
 }
@@ -170,7 +172,11 @@ func (cfg Config) fill() Config {
 // EpochResult is one epoch's outcome.
 type EpochResult struct {
 	Epoch int
-	Map   *verfploeter.Catchment
+	// Map is the epoch's catchment. Epoch maps are immutable: an epoch
+	// that changed no entry returns the carried map itself, so
+	// consecutive epochs may share one pointer. Callers must not modify
+	// it.
+	Map *verfploeter.Catchment
 	// Probes actually sent (sample + escalation + retries); Sampled the
 	// sample's size (the alias sources measured beside it are not
 	// counted); EscalatedStrata how many strata
@@ -226,6 +232,10 @@ type Session struct {
 	series *dataset.Series
 
 	prev *verfploeter.Catchment
+	// prevTally is prev's per-site counts and load shares, kept from the
+	// epoch that produced prev, so an epoch that changes nothing
+	// recomputes neither.
+	prevTally tally
 	// prevAsg is the assignment the previous epoch's map was measured
 	// under — the predictor's reference routing state. Captured right
 	// after each measurement, so Controller changes land in the next
@@ -294,7 +304,10 @@ func (ss *Session) Step() (EpochResult, error) {
 	prependChanged, downChanged := applyActions(s, cfg.Actions, e)
 
 	er := EpochResult{Epoch: e}
+	// changed lists, ascending, the blocks whose entry differs from the
+	// carried map's; every pass below reads it instead of the map.
 	var cur *verfploeter.Catchment
+	var changed []ipv4.Block
 	full := e == 0 || cfg.Sample <= 0 || ss.forceFull
 	ss.forceFull = false
 	if full {
@@ -304,21 +317,22 @@ func (ss *Session) Step() (EpochResult, error) {
 		}
 		cur = c
 		er.Probes, er.Sampled = stats.Sent, stats.Targets
+		if e > 0 {
+			changed = verfploeter.ChangedBlocks(ss.prev, cur)
+		}
 	} else {
-		var c *verfploeter.Catchment
 		var err error
 		if cfg.Predict {
-			// Probe-free fast path; c == nil means the predictor stood
+			// Probe-free fast path; cur == nil means the predictor stood
 			// down (preconditions failed) and plain sampling takes over.
-			c, err = ss.predictEpoch(&er)
+			cur, changed, err = ss.predictEpoch(&er)
 		}
-		if err == nil && c == nil {
-			c, _, err = sampleEpoch(s, cfg, ss.st, ss.prev, &er)
+		if err == nil && cur == nil {
+			cur, changed, err = sampleEpoch(s, cfg, ss.st, ss.prev, &er)
 		}
 		if err != nil {
 			return er, fmt.Errorf("monitor: epoch %d: %w", e, err)
 		}
-		cur = c
 	}
 	er.Map = cur
 	ss.prevAsg = s.Asg
@@ -327,10 +341,17 @@ func (ss *Session) Step() (EpochResult, error) {
 		ss.series.Baseline = cur
 		ss.series.BaselineProbes = er.Probes
 		ss.res.BaselineProbes = er.Probes
+		ss.prevTally = tallyOf(cur, cfg.LoadLog)
 	} else {
-		se := deltaEpoch(e, ss.prev, cur, &er)
+		se := deltaEpoch(e, ss.prev, cur, changed, &er)
 		clSpan := s.Obs.StartSpan("classify", e)
-		er.Events = classifyEvents(e, s, cfg, ss.prev, cur, prependChanged, downChanged, ss.playbookActed, er.PredictMisses > 0)
+		curTally := ss.prevTally
+		if len(changed) > 0 {
+			curTally = tallyOf(cur, cfg.LoadLog)
+		}
+		er.Events = classifyEvents(e, s, cfg, ss.prev, cur, changed, ss.prevTally, curTally,
+			prependChanged, downChanged, ss.playbookActed, er.PredictMisses > 0)
+		ss.prevTally = curTally
 		clSpan.End()
 		se.Events = er.Events
 		ss.series.Epochs = append(ss.series.Epochs, se)
@@ -390,13 +411,14 @@ func Run(s *scenario.Scenario, cfg Config) (*Result, error) {
 // sampleEpoch is the adaptive partial re-probe: probe the epoch's
 // deterministic per-AS sample, escalate every stratum whose sample
 // diverged from the carried map to a full stratum re-probe, and stitch.
+// It returns the stitched map and the blocks the stitch rewrote.
 func sampleEpoch(s *scenario.Scenario, cfg Config, st *strata,
-	prev *verfploeter.Catchment, er *EpochResult) (*verfploeter.Catchment, verfploeter.Stats, error) {
+	prev *verfploeter.Catchment, er *EpochResult) (*verfploeter.Catchment, []ipv4.Block, error) {
 
 	sample := st.sampleSet(er.Epoch, cfg.Sample, s.Seed)
 	obs, stats, err := s.MeasureSubset(cfg.RoundID, st.withAliasSources(sample, prev))
 	if err != nil {
-		return nil, stats, err
+		return nil, nil, err
 	}
 	er.Probes, er.Sampled = stats.Sent, sample.Len()
 
@@ -414,55 +436,61 @@ func sampleEpoch(s *scenario.Scenario, cfg Config, st *strata,
 		s.Obs.Counter("monitor_global_escalations", "epochs escalated to a full re-sweep").Inc()
 	}
 	er.EscalatedStrata = countTrue(escalated)
-	cur := prev.Clone()
-	if err := stitchEscalated(s, cfg, st, cur, escalated, er); err != nil {
-		return nil, stats, err
-	}
-	return cur, stats, nil
+	return stitchEscalated(s, cfg, st, prev, escalated, er)
 }
 
 // stitchEscalated re-probes every block of the escalated strata (plus
 // topology predecessors, for the cross-block alias rule) and stitches
-// the fresh observations into cur in place; un-escalated entries carry
-// over untouched. Escalated strata whose fresh observations equal their
-// carried entries are counted in er.WastedEscalations.
+// the fresh observations over the carried map prev; un-escalated
+// entries carry over untouched. It returns the epoch's map and the
+// ascending list of blocks it rewrote. prev itself is never modified:
+// it is copied on the first rewrite, so an epoch that changes nothing
+// returns prev and copies nothing. Escalated strata whose fresh
+// observations equal their carried entries are counted in
+// er.WastedEscalations.
 func stitchEscalated(s *scenario.Scenario, cfg Config, st *strata,
-	cur *verfploeter.Catchment, escalated []bool, er *EpochResult) error {
+	prev *verfploeter.Catchment, escalated []bool, er *EpochResult) (*verfploeter.Catchment, []ipv4.Block, error) {
 
 	if countTrue(escalated) == 0 {
-		return nil
+		return prev, nil, nil
 	}
 	full, fstats, err := s.MeasureSubset(cfg.RoundID, st.escalationSet(escalated))
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
 	er.Probes += fstats.Sent
 	// Stitch: escalated strata take the fresh observation wholesale
 	// (including blocks that went silent), the rest carries over. The
 	// predecessors' own observations are not stitched.
+	cur := prev
+	var changed []ipv4.Block
 	for stratum, esc := range escalated {
 		if !esc {
 			continue
 		}
-		changed := false
+		n := len(changed)
 		for _, b := range st.blocks[stratum] {
 			fs, fok := full.SiteOf(b)
 			frt, _ := full.RTTOf(b)
-			if sameEntry(cur, b, fs, fok, frt) {
+			if sameEntry(prev, b, fs, fok, frt) {
 				continue
 			}
-			changed = true
+			if cur == prev {
+				cur = prev.Clone()
+			}
+			changed = append(changed, b)
 			if fok {
 				cur.Reassign(b, fs, frt)
 			} else {
 				cur.Delete(b)
 			}
 		}
-		if !changed {
+		if len(changed) == n {
 			er.WastedEscalations++
 		}
 	}
-	return nil
+	slices.Sort(changed)
+	return cur, changed, nil
 }
 
 // sameEntry reports whether c's entry for b is exactly (site, rtt), or
@@ -498,37 +526,63 @@ func applyActions(s *scenario.Scenario, actions []Action, e int) (prependChanged
 	return prependChanged, downChanged
 }
 
-// deltaEpoch encodes cur against prev: changed/added/removed blocks in
-// sorted order for deterministic series files.
-func deltaEpoch(e int, prev, cur *verfploeter.Catchment, er *EpochResult) dataset.SeriesEpoch {
+// deltaEpoch encodes cur against prev from the epoch's ascending change
+// list: changed/added/removed blocks in sorted order for deterministic
+// series files.
+func deltaEpoch(e int, prev, cur *verfploeter.Catchment, changed []ipv4.Block, er *EpochResult) dataset.SeriesEpoch {
 	se := dataset.SeriesEpoch{
 		Epoch: e, Probes: er.Probes,
 		SampledTargets: er.Sampled, EscalatedStrata: er.EscalatedStrata,
 	}
-	for _, b := range cur.Blocks() {
-		site, _ := cur.SiteOf(b)
+	for _, b := range changed {
+		site, ok := cur.SiteOf(b)
+		if !ok {
+			se.Removed = append(se.Removed, b)
+			continue
+		}
 		rtt, _ := cur.RTTOf(b)
 		d := dataset.Delta{Block: b, Site: int16(site), RTT: rtt}
-		if ps, ok := prev.SiteOf(b); !ok {
-			se.Added = append(se.Added, d)
-		} else if pr, _ := prev.RTTOf(b); ps != site || pr != rtt {
+		if _, had := prev.SiteOf(b); had {
 			se.Changed = append(se.Changed, d)
-		}
-	}
-	for _, b := range prev.Blocks() {
-		if _, ok := cur.SiteOf(b); !ok {
-			se.Removed = append(se.Removed, b)
+		} else {
+			se.Added = append(se.Added, d)
 		}
 	}
 	return se
 }
 
-// classifyEvents turns the prev→cur transition into the epoch's typed
-// drift events, all tagged with the epoch's best-attributed cause.
-func classifyEvents(e int, s *scenario.Scenario, cfg Config,
-	prev, cur *verfploeter.Catchment, prependChanged, downChanged, playbook, predictMiss bool) []dataset.Event {
+// tally is one map's per-site block counts and load shares.
+type tally struct {
+	counts []int
+	shares []float64
+}
 
-	prevCounts, curCounts := prev.Counts(), cur.Counts()
+// tallyOf counts c's blocks per site and computes its load shares:
+// query-weighted when a log is supplied, block-count shares otherwise.
+func tallyOf(c *verfploeter.Catchment, log *querylog.Log) tally {
+	t := tally{counts: c.Counts(), shares: make([]float64, c.NSite)}
+	if log != nil {
+		est := loadmodel.Predict(c, log, loadmodel.ByQueries)
+		for site := range t.shares {
+			t.shares[site] = est.Fraction(site)
+		}
+	} else if n := c.Len(); n > 0 {
+		for site := range t.shares {
+			t.shares[site] = float64(t.counts[site]) / float64(n)
+		}
+	}
+	return t
+}
+
+// classifyEvents turns the prev→cur transition into the epoch's typed
+// drift events, all tagged with the epoch's best-attributed cause. It
+// reads the transition from the ascending change list and the two maps'
+// tallies; it makes no pass over either map.
+func classifyEvents(e int, s *scenario.Scenario, cfg Config,
+	prev, cur *verfploeter.Catchment, changed []ipv4.Block, prevTally, curTally tally,
+	prependChanged, downChanged, playbook, predictMiss bool) []dataset.Event {
+
+	prevCounts, curCounts := prevTally.counts, curTally.counts
 	var darkened, restored []int
 	for site := range prevCounts {
 		switch {
@@ -562,16 +616,29 @@ func classifyEvents(e int, s *scenario.Scenario, cfg Config,
 		cause = dataset.CausePredictMiss
 	}
 
+	// Only a changed block can have flipped or gone silent.
+	flipped, toNR := 0, 0
+	for _, b := range changed {
+		ps, ok := prev.SiteOf(b)
+		if !ok {
+			continue
+		}
+		if cs, ok := cur.SiteOf(b); !ok {
+			toNR++
+		} else if cs != ps {
+			flipped++
+		}
+	}
+
 	var events []dataset.Event
-	d := verfploeter.Diff(prev, cur)
-	if d.Flipped > 0 {
+	if flipped > 0 {
 		events = append(events, dataset.Event{
 			Epoch: e, Type: dataset.EventFlips, Cause: cause, Site: -1,
-			Blocks:    d.Flipped,
-			Magnitude: float64(d.Flipped) / float64(max(1, prev.Len())),
+			Blocks:    flipped,
+			Magnitude: float64(flipped) / float64(max(1, prev.Len())),
 		})
 	}
-	prevShare, curShare := shares(prev, cfg.LoadLog), shares(cur, cfg.LoadLog)
+	prevShare, curShare := prevTally.shares, curTally.shares
 	for site := range curShare {
 		delta := curShare[site] - prevShare[site]
 		if math.Abs(delta) >= cfg.LoadShift {
@@ -587,7 +654,7 @@ func classifyEvents(e int, s *scenario.Scenario, cfg Config,
 		if drop >= cfg.CoverageDrop {
 			events = append(events, dataset.Event{
 				Epoch: e, Type: dataset.EventCoverageDrop, Cause: cause, Site: -1,
-				Blocks: d.ToNR, Magnitude: drop,
+				Blocks: toNR, Magnitude: drop,
 			})
 		}
 	}
@@ -604,23 +671,6 @@ func classifyEvents(e int, s *scenario.Scenario, cfg Config,
 		})
 	}
 	return events
-}
-
-// shares returns per-site load shares: query-weighted when a log is
-// supplied, block-count shares otherwise.
-func shares(c *verfploeter.Catchment, log *querylog.Log) []float64 {
-	out := make([]float64, c.NSite)
-	if log != nil {
-		est := loadmodel.Predict(c, log, loadmodel.ByQueries)
-		for site := range out {
-			out[site] = est.Fraction(site)
-		}
-		return out
-	}
-	for site := range out {
-		out[site] = c.Fraction(site)
-	}
-	return out
 }
 
 // --- strata ----------------------------------------------------------

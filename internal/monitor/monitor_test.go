@@ -120,23 +120,31 @@ func TestSampleModeMatchesFullMode(t *testing.T) {
 
 // TestMonitorWorkerDeterminism: the whole campaign — maps, deltas,
 // events, serialized series — is byte-identical at any worker count.
+// The second row adds the predictor and query-weighted load shares, so
+// the session's carried counts and shares are covered too.
 func TestMonitorWorkerDeterminism(t *testing.T) {
-	serialized := make(map[int][]byte)
-	for _, w := range []int{1, 7} {
-		base, actions := driftWorld(t, 11)
-		base.Workers = w
-		res, err := Run(base.Fork(), Config{Epochs: 7, Sample: 0.25, Actions: actions})
-		if err != nil {
-			t.Fatal(err)
+	for _, predict := range []bool{false, true} {
+		serialized := make(map[int][]byte)
+		for _, w := range []int{1, 7} {
+			base, actions := driftWorld(t, 11)
+			base.Workers = w
+			cfg := Config{Epochs: 7, Sample: 0.25, Actions: actions}
+			if predict {
+				cfg.Sample, cfg.Predict, cfg.LoadLog = 0.125, true, base.RootLog()
+			}
+			res, err := Run(base.Fork(), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var buf bytes.Buffer
+			if err := dataset.WriteSeries(&buf, res.Series); err != nil {
+				t.Fatal(err)
+			}
+			serialized[w] = buf.Bytes()
 		}
-		var buf bytes.Buffer
-		if err := dataset.WriteSeries(&buf, res.Series); err != nil {
-			t.Fatal(err)
+		if !bytes.Equal(serialized[1], serialized[7]) {
+			t.Fatalf("predict=%v: serialized series differs between workers=1 and workers=7", predict)
 		}
-		serialized[w] = buf.Bytes()
-	}
-	if !bytes.Equal(serialized[1], serialized[7]) {
-		t.Fatal("serialized series differs between workers=1 and workers=7")
 	}
 }
 
@@ -348,8 +356,8 @@ func TestWastedEscalations(t *testing.T) {
 	}
 	stitchAll := func() (*verfploeter.Catchment, EpochResult) {
 		var er EpochResult
-		cur := base.Clone()
-		if err := stitchEscalated(s, cfg, st, cur, allStrata(st.n), &er); err != nil {
+		cur, _, err := stitchEscalated(s, cfg, st, base, allStrata(st.n), &er)
+		if err != nil {
 			t.Fatal(err)
 		}
 		return cur, er

@@ -31,15 +31,16 @@ import (
 	"verfploeter/internal/verfploeter"
 )
 
-// predictEpoch runs one predicted epoch. A nil catchment with a nil
-// error means the predictor stood down (exactness preconditions
-// failed — e.g. no reference assignment yet, or the topology mutated)
-// and the caller must fall back to plain sampling.
-func (ss *Session) predictEpoch(er *EpochResult) (*verfploeter.Catchment, error) {
+// predictEpoch runs one predicted epoch and returns the stitched map
+// and the blocks the stitch rewrote. A nil catchment with a nil error
+// means the predictor stood down (exactness preconditions failed —
+// e.g. no reference assignment yet, or the topology mutated) and the
+// caller must fall back to plain sampling.
+func (ss *Session) predictEpoch(er *EpochResult) (*verfploeter.Catchment, []ipv4.Block, error) {
 	s, cfg, st, prev := ss.s, ss.cfg, ss.st, ss.prev
 	pr := predict.Diff(s.Top, ss.prevAsg, s.Asg, predict.Config{Threshold: cfg.PredictThreshold})
 	if !pr.Exact {
-		return nil, nil
+		return nil, nil, nil
 	}
 
 	// Strata touching the predicted flip set escalate outright.
@@ -80,7 +81,7 @@ func (ss *Session) predictEpoch(er *EpochResult) (*verfploeter.Catchment, error)
 	if probed.Len() > 0 {
 		o, stats, err := s.MeasureSubset(cfg.RoundID, st.withAliasSources(probed, prev))
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		obs = o
 		er.Probes, er.Sampled = stats.Sent, probed.Len()
@@ -112,34 +113,25 @@ func (ss *Session) predictEpoch(er *EpochResult) (*verfploeter.Catchment, error)
 		}
 	}
 
-	cur := prev.Clone()
-	if err := stitchEscalated(s, cfg, st, cur, escalated, er); err != nil {
-		return nil, err
+	cur, changed, err := stitchEscalated(s, cfg, st, prev, escalated, er)
+	if err != nil {
+		return nil, nil, err
 	}
 
 	// Score the prediction against everything actually re-observed:
 	// a changed re-observation inside the predicted affected set is a
 	// hit, outside it a miss. Skipped strata are by construction
-	// unchanged in cur, so iterating the re-observed blocks covers every
-	// prev→cur difference.
-	score := func(b ipv4.Block, fresh *verfploeter.Catchment) {
-		fs, fok := fresh.SiteOf(b)
-		frt, _ := fresh.RTTOf(b)
-		if sameEntry(prev, b, fs, fok, frt) {
-			return
-		}
+	// unchanged in cur, so the stitch's change list and the probed
+	// blocks cover every prev→cur difference.
+	score := func(b ipv4.Block) {
 		if pr.Affected.Contains(b) {
 			er.PredictHits++
 		} else {
 			er.PredictMisses++
 		}
 	}
-	for stratum, esc := range escalated {
-		if esc {
-			for _, b := range st.blocks[stratum] {
-				score(b, cur)
-			}
-		}
+	for _, b := range changed {
+		score(b)
 	}
 	// Sampled blocks outside escalated strata were carried in cur, so
 	// their fresh witness is obs. (driftedStrata escalates every drifted
@@ -147,9 +139,13 @@ func (ss *Session) predictEpoch(er *EpochResult) (*verfploeter.Catchment, error)
 	// ones — but scoring against cur would bake that assumption in.)
 	probed.Range(func(b ipv4.Block) bool {
 		if stratum, _ := st.stratumOf(b); !escalated[stratum] {
-			score(b, obs)
+			fs, fok := obs.SiteOf(b)
+			frt, _ := obs.RTTOf(b)
+			if !sameEntry(prev, b, fs, fok, frt) {
+				score(b)
+			}
 		}
 		return true
 	})
-	return cur, nil
+	return cur, changed, nil
 }

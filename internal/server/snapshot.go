@@ -143,10 +143,9 @@ func BuildSnapshot(tenant string, epoch int, swept bool, scn *scenario.Scenario,
 	}
 	sn.Sites = make([]SiteLoad, len(scn.Sites))
 	for s := range scn.Sites {
-		sl := SiteLoad{
-			Code:       scn.Sites[s].Code,
-			Blocks:     counts[s],
-			BlockShare: c.Fraction(s),
+		sl := SiteLoad{Code: scn.Sites[s].Code, Blocks: counts[s]}
+		if n := c.Len(); n > 0 {
+			sl.BlockShare = float64(counts[s]) / float64(n)
 		}
 		sl.LoadShare = sl.BlockShare
 		if est != nil {

@@ -271,11 +271,7 @@ func (c *Catchment) rangeRTT(fn func(b ipv4.Block, site int, rtt time.Duration) 
 		if s < 0 {
 			continue
 		}
-		var rtt time.Duration
-		if c.crtts != nil {
-			rtt = time.Duration(c.crtts[id])
-		}
-		if !fn(c.ix.At(id), int(s), rtt) {
+		if !fn(c.ix.At(id), int(s), time.Duration(c.rttAt(id))) {
 			return
 		}
 	}
@@ -322,6 +318,46 @@ func (c *Catchment) recount() {
 		}
 	}
 	c.cn, c.cnrtt = cn, cnrtt
+}
+
+// ChangedBlocks lists, in ascending order, every block whose entry
+// differs between prev and cur: mapped in one and not the other, or
+// mapped in both with another site or RTT. It is one merge pass over
+// the two catchments' columns; the indexes may differ.
+func ChangedBlocks(prev, cur *Catchment) []ipv4.Block {
+	var out []ipv4.Block
+	pb, cb := prev.ix.Blocks(), cur.ix.Blocks()
+	i, j := 0, 0
+	for i < len(pb) || j < len(cb) {
+		switch {
+		case j == len(cb) || i < len(pb) && pb[i] < cb[j]:
+			if prev.csites[i] >= 0 {
+				out = append(out, pb[i])
+			}
+			i++
+		case i == len(pb) || cb[j] < pb[i]:
+			if cur.csites[j] >= 0 {
+				out = append(out, cb[j])
+			}
+			j++
+		default:
+			ps, cs := prev.csites[i], cur.csites[j]
+			if ps != cs || ps >= 0 && prev.rttAt(i) != cur.rttAt(j) {
+				out = append(out, pb[i])
+			}
+			i++
+			j++
+		}
+	}
+	return out
+}
+
+// rttAt returns id's RTT in nanoseconds, 0 when none is recorded.
+func (c *Catchment) rttAt(id int) int64 {
+	if c.crtts == nil {
+		return 0
+	}
+	return c.crtts[id]
 }
 
 // DiffStats classifies every VP across two consecutive rounds the way

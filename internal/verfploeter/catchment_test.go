@@ -1,6 +1,7 @@
 package verfploeter
 
 import (
+	"math/rand/v2"
 	"slices"
 	"testing"
 	"time"
@@ -138,6 +139,103 @@ func TestDiff(t *testing.T) {
 	d := Diff(prev, cur)
 	if d.Stable != 1 || d.Flipped != 1 || d.ToNR != 1 || d.FromNR != 1 {
 		t.Errorf("Diff = %+v", d)
+	}
+}
+
+// TestChangedBlocks checks the merge against a naive reference over
+// Go maps: over one shared index, over two overlapping indexes, with
+// one side empty or both, and with every entry changed.
+func TestChangedBlocks(t *testing.T) {
+	type entry struct {
+		site int
+		rtt  time.Duration
+	}
+	entries := func(c *Catchment) map[ipv4.Block]entry {
+		m := map[ipv4.Block]entry{}
+		c.Range(func(b ipv4.Block, site int) bool {
+			rtt, _ := c.RTTOf(b)
+			m[b] = entry{site, rtt}
+			return true
+		})
+		return m
+	}
+	ref := func(prev, cur *Catchment) []ipv4.Block {
+		pm, cm := entries(prev), entries(cur)
+		var out []ipv4.Block
+		for b, pe := range pm {
+			if ce, ok := cm[b]; !ok || ce != pe {
+				out = append(out, b)
+			}
+		}
+		for b := range cm {
+			if _, ok := pm[b]; !ok {
+				out = append(out, b)
+			}
+		}
+		slices.Sort(out)
+		return out
+	}
+	r := rand.New(rand.NewPCG(5, 9))
+	// over indexes every block in [lo, hi) with probability keep, and
+	// maps each indexed block with probability 3/4, an RTT on half.
+	over := func(lo, hi int, keep float64) *Catchment {
+		var bs []ipv4.Block
+		for b := lo; b < hi; b++ {
+			if r.Float64() < keep {
+				bs = append(bs, ipv4.Block(b))
+			}
+		}
+		c := NewCatchment(3, colstore.NewIndex(bs))
+		for _, b := range bs {
+			if r.IntN(4) > 0 {
+				c.SetRTT(b, r.IntN(3), time.Duration(r.IntN(2)*(1+r.IntN(3))))
+			}
+		}
+		return c
+	}
+	// perturb returns a copy of c with about frac of its blocks rewritten:
+	// deleted, re-sited, re-timed, or newly mapped.
+	perturb := func(c *Catchment, frac float64) *Catchment {
+		o := c.Clone()
+		for _, b := range c.ix.Blocks() {
+			if r.Float64() >= frac {
+				continue
+			}
+			if r.IntN(4) == 0 {
+				o.Delete(b)
+			} else {
+				o.Reassign(b, r.IntN(3), time.Duration(r.IntN(3)))
+			}
+		}
+		return o
+	}
+	base := over(1000, 3000, 0.8)
+	allChanged := base.Clone()
+	base.Range(func(b ipv4.Block, site int) bool {
+		allChanged.Reassign(b, (site+1)%3, 0)
+		return true
+	})
+	for _, tc := range []struct {
+		name      string
+		prev, cur *Catchment
+	}{
+		{"same map", base, base},
+		{"same index", base, perturb(base, 0.05)},
+		{"same index, heavy", base, perturb(base, 0.6)},
+		{"different indexes", over(1000, 3000, 0.7), over(1500, 4000, 0.7)},
+		{"disjoint indexes", over(0, 500, 0.9), over(500, 1000, 0.9)},
+		{"empty prev", NewCatchment(3, nil), base},
+		{"empty cur", base, NewCatchment(3, colstore.NewIndex(nil))},
+		{"both empty", NewCatchment(3, nil), NewCatchment(3, nil)},
+		{"everything changed", base, allChanged},
+	} {
+		got, want := ChangedBlocks(tc.prev, tc.cur), ref(tc.prev, tc.cur)
+		if !slices.Equal(got, want) {
+			t.Errorf("%s: ChangedBlocks lists %d blocks, reference %d", tc.name, len(got), len(want))
+		}
+		if tc.name != "same map" && tc.name != "both empty" && len(want) == 0 {
+			t.Errorf("%s: reference found no change; the case tests nothing", tc.name)
+		}
 	}
 }
 

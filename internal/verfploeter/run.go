@@ -83,8 +83,13 @@ type Config struct {
 type Stats struct {
 	Sent     int
 	SendErrs int
-	Elapsed  time.Duration // virtual time the probing took
-	Clean    CleanStats
+	// Elapsed is the virtual time from the round's start to the later of
+	// its last send and the arrival of the last reply copy captured, late
+	// copies past the cleaning cutoff included. One late reply therefore
+	// stretches it well past the sending: the internet tier sends for
+	// about two minutes and reads about eighteen.
+	Elapsed time.Duration
+	Clean   CleanStats
 	// MedianRTT is the median probe round-trip time over kept replies;
 	// the paper (§7) suggests these RTTs can drive site placement.
 	MedianRTT time.Duration

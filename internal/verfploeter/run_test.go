@@ -104,26 +104,39 @@ func TestRunCleansImpairments(t *testing.T) {
 }
 
 func TestRunSeparatesRounds(t *testing.T) {
-	// Two back-to-back rounds with different idents: second round's
-	// cleaning must not admit stragglers from the first.
+	// Two back-to-back rounds with different idents: round 2 must see
+	// nothing of round 1. Its catchment (RTTs included) and Stats equal a
+	// round-2 sweep on a fresh world with the same seed, and no reply is
+	// dropped as another round's.
 	imp := dataplane.DefaultImpairments()
 	imp.LateFrac = 0.05 // lots of stragglers
-	w := newWorld(t, 7, imp)
-
-	_, _, err := Run(w.config(1))
-	if err != nil {
-		t.Fatal(err)
+	round2 := func(after1 bool) (*Catchment, Stats) {
+		w := newWorld(t, 7, imp)
+		if after1 {
+			if _, _, err := Run(w.config(1)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		w.net.SetRound(1)
+		c, stats, err := Run(w.config(2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c, stats
 	}
-	w.net.SetRound(1)
-	_, stats2, err := Run(w.config(2))
-	if err != nil {
-		t.Fatal(err)
+	got, gotStats := round2(true)
+	want, wantStats := round2(false)
+	if !got.Equal(want) {
+		t.Error("round 2 after round 1 maps differently from round 2 on a fresh world")
 	}
-	// RunUntilIdle in round 1 drains its own late replies, so round 2
-	// may see none — but if any cross-round replies appear they must be
-	// counted as WrongRound, never kept.
-	if stats2.Clean.WrongRound > 0 {
-		t.Logf("cross-round stragglers correctly rejected: %d", stats2.Clean.WrongRound)
+	if gotStats != wantStats {
+		t.Errorf("round 2 stats after round 1 %+v, on a fresh world %+v", gotStats, wantStats)
+	}
+	if gotStats.Clean.WrongRound != 0 {
+		t.Errorf("round 2 dropped %d replies as another round's", gotStats.Clean.WrongRound)
+	}
+	if got.Len() == 0 || got.RTTCount() == 0 {
+		t.Errorf("round 2 mapped %d blocks with %d RTTs, want both > 0", got.Len(), got.RTTCount())
 	}
 }
 
